@@ -10,8 +10,11 @@ all: build vet fmt-check test
 build:
 	$(GO) build ./...
 
+# perfbench/ is its own module, so root `go build ./...` never compiles
+# it; vetting it catches engine API changes that would break it.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 fmt:
 	gofmt -w .

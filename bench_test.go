@@ -11,6 +11,7 @@ package interopdb
 // annotations (the source of EXPERIMENTS.md).
 
 import (
+	"context"
 	"testing"
 
 	"interopdb/internal/experiments"
@@ -99,9 +100,10 @@ func BenchmarkB2_TxnValidation(b *testing.B) {
 		"shopprice": object.Real(30), "libprice": object.Real(25),
 		"ref?": object.Bool(false), "rating": object.Int(8),
 	}
+	ops := []view.Mutation{{Kind: view.MutInsert, Class: "Proceedings", Attrs: doomed}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rejs := e.ValidateInsert("Proceedings", doomed); len(rejs) == 0 {
+		if rejs, _, _ := e.Validate(context.Background(), ops); len(rejs) == 0 {
 			b.Fatal("doomed insert not caught")
 		}
 	}
@@ -297,16 +299,17 @@ func BenchmarkServeParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkServeValidateInsert: duplicate-key validation across extent
-// sizes — the indexed probe is O(1) while the reference path copies and
-// scans the extent per insert.
+// BenchmarkServeValidateInsert: duplicate-key insert validation across
+// extent sizes, with and without the snapshot key index (a duplicate
+// hits the index, so both modes then scan for the holder the repair
+// names; the scan stops at the first match).
 func BenchmarkServeValidateInsert(b *testing.B) {
 	for _, scale := range []int{5, 50} {
 		e := serveEngine(b, scale)
-		doomed := map[string]object.Value{
+		doomed := []view.Mutation{{Kind: view.MutInsert, Class: "Item", Attrs: map[string]object.Value{
 			"title": object.Str("dup"), "isbn": object.Str("vldb96"),
 			"shopprice": object.Real(10), "libprice": object.Real(5),
-		}
+		}}}
 		for _, mode := range []struct {
 			tag string
 			idx bool
@@ -314,12 +317,12 @@ func BenchmarkServeValidateInsert(b *testing.B) {
 			b.Run("scale="+itoa(scale)+"/"+mode.tag, func(b *testing.B) {
 				b.ReportAllocs()
 				e.UseIndexes = mode.idx
-				if rejs := e.ValidateInsert("Item", doomed); len(rejs) == 0 {
+				if rejs, _, _ := e.Validate(context.Background(), doomed); len(rejs) == 0 {
 					b.Fatal("duplicate key not caught")
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if rejs := e.ValidateInsert("Item", doomed); len(rejs) == 0 {
+					if rejs, _, _ := e.Validate(context.Background(), doomed); len(rejs) == 0 {
 						b.Fatal("duplicate key not caught")
 					}
 				}
@@ -458,7 +461,7 @@ func ftoa(f float64) string {
 }
 
 // BenchmarkB8_MutationThroughput runs the mutation-lifecycle experiment
-// once per iteration (batched ShipTx vs singleton inserts, delta vs full
+// once per iteration (one batch vs singleton inserts, delta vs full
 // validation) at the base fixture scale.
 func BenchmarkB8_MutationThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -7,8 +7,8 @@
 // scale and derivation sweeps (B3, B4) measure sequential vs parallel
 // pipeline execution and report the reasoner's cache hit rate; B7
 // measures the indexed+compiled serving fast path against the pure
-// interpreter scan; B8 measures batched ShipTx against singleton insert
-// transactions and delta-restricted update validation against a full
+// interpreter scan; B8 measures one shipped batch against singleton
+// insert batches and delta-restricted update validation against a full
 // CheckAll; B1 reports cold (planning + cost-gated constraint phase)
 // against steady-state (plan-cached) serving; B9 measures concurrent
 // readers against the snapshot path under a mutating writer, with the
@@ -389,7 +389,7 @@ func runB(quick bool, rep *report) {
 	if quick {
 		batch = 50
 	}
-	fmt.Printf("\nB8: mutation throughput — batched ShipTx vs singleton inserts, delta vs full validation (%d ops)\n", batch)
+	fmt.Printf("\nB8: mutation throughput — one shipped batch vs singleton inserts, delta vs full validation (%d ops)\n", batch)
 	b8, err := experiments.B8(scales, batch)
 	exitOn(err)
 	for _, r := range b8 {

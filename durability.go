@@ -33,14 +33,8 @@ import (
 //	// Attach the members…
 //	info, err := dur.Finish(ctx, fed)             // verify, warm, enable logging
 //
-// After Finish, every batch shipped through the federation's routed
-// path (QueryEngine.Ship / ShipTxRouted) is durable before it is
-// acknowledged. Writes that bypass the registry — ShipTx against a bare
-// *Store, or direct component-store mutations, which the autonomy model
-// permits — are NOT logged; they belong to the component database, and
-// a warm start rebuilds them only if the caller's store construction
-// re-creates them (the "built exactly as the original boot built it"
-// contract of RestoreStores).
+// After Finish, every batch shipped through QueryEngine.Ship — the
+// engine's only write path — is durable before it is acknowledged.
 
 const (
 	walFileName        = "wal.log"

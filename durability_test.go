@@ -68,8 +68,10 @@ func shipRecord(t *testing.T, fed *Federation, i int) error {
 }
 
 // shipWorkload runs the standard durable write workload: four archive
-// inserts plus one cross-member merged-object update (its effects fan
-// to all three member stores, exercising the intent/resolve records).
+// inserts, one cross-member merged-object update (its effects fan to all
+// three member stores, exercising the intent/resolve records) and one
+// cross-member merged-object delete (sigmod96, held by the library and
+// the archive, whose removal both members' local constraints accept).
 func shipWorkload(t *testing.T, fed *Federation) {
 	t.Helper()
 	for i := 0; i < 4; i++ {
@@ -86,6 +88,35 @@ func shipWorkload(t *testing.T, fed *Federation) {
 	if err != nil {
 		t.Fatalf("ship cross-member update: %v", err)
 	}
+	sigmod := findMerged(t, fed, "sigmod96")
+	if err := e.Ship(context.Background(), []Mutation{{Kind: MutDelete, Class: "Publication", ID: sigmod}}); err != nil {
+		t.Fatalf("ship cross-member delete: %v", err)
+	}
+}
+
+// findMerged locates the view ID of the object with the given isbn,
+// failing unless its constituents live in at least two member stores.
+func findMerged(t *testing.T, fed *Federation, isbn string) int {
+	t.Helper()
+	for _, g := range fed.Result().View.Objects {
+		if v, ok := g.Get("isbn"); !ok || v.String() != "'"+isbn+"'" {
+			continue
+		}
+		members := map[string]bool{}
+		for _, ms := range g.Parts {
+			for _, m := range ms {
+				if !m.Virtual {
+					members[m.Src.DB] = true
+				}
+			}
+		}
+		if len(members) < 2 {
+			t.Fatalf("%s has constituents in %d member(s), want >= 2", isbn, len(members))
+		}
+		return g.ID
+	}
+	t.Fatalf("%s not in the integrated view", isbn)
+	return 0
 }
 
 // findVLDB locates the three-way merged vldb96 object's view ID.

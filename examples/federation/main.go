@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -86,10 +87,11 @@ func main() {
 			"keeper": interopdb.Str("Annex"), "price": interopdb.Real(18), "pages": interopdb.Int(250),
 		}},
 	}
-	if rejs, _, err := e.ValidateTx(ops); err != nil || len(rejs) > 0 {
+	ctx := context.Background()
+	if rejs, _, err := e.Validate(ctx, ops); err != nil || len(rejs) > 0 {
 		log.Fatalf("validation: %v %v", rejs, err)
 	}
-	must(e.ShipTxRouted(fed.Stores(), ops))
+	must(e.Ship(ctx, ops))
 	fmt.Println("routed batch committed (insert → UnivArchive's local manager)")
 
 	// Constraint provenance in the federated report.

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -79,7 +80,13 @@ func main() {
 		"shopprice": interopdb.Real(30), "libprice": interopdb.Real(25),
 		"ref?": interopdb.Bool(false), "rating": interopdb.Int(5),
 	}
-	for _, rej := range engine.ValidateInsert("Proceedings", bad) {
+	rejs, _, err := engine.Validate(context.Background(), []interopdb.Mutation{
+		{Kind: interopdb.MutInsert, Class: "Proceedings", Attrs: bad},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, rej := range rejs {
 		fmt.Printf("  rejected: %v\n", rej)
 	}
 }

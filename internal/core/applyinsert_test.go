@@ -8,8 +8,8 @@ import (
 	"interopdb/internal/tm"
 )
 
-// TestApplyInsert covers the incremental view-growth path ShipInsert
-// uses: classification along the origin chain, extent growth, reference
+// TestApplyInsert covers the incremental view-growth path a shipped
+// insert uses: classification along the origin chain, extent growth, reference
 // registration, and the error case.
 func TestApplyInsert(t *testing.T) {
 	local, remote := fixture.Figure1Stores(fixture.Options{})

@@ -240,8 +240,8 @@ func (v *GlobalView) DeclaresAttr(g *GObj, attr string) bool {
 // classified along its origin class's inheritance chain; Sim-rule
 // classification, entity resolution against the other side, and PropEq
 // value conversion are not re-run — attrs are stored as given and must
-// already be in the conformed (global) domain, the same domain
-// ValidateInsert evaluates; a full re-integration remains the way to
+// already be in the conformed (global) domain, the same domain the view
+// engine's Validate evaluates; a full re-integration remains the way to
 // pick those up. src is the component-store reference the insert
 // received, registered for Deref.
 func (v *GlobalView) ApplyInsert(class string, attrs map[string]object.Value, src object.Ref) (*GObj, error) {

@@ -89,6 +89,20 @@ func personnel() (*core.Result, error) {
 	return core.Integrate(tm.Personnel1(), tm.Personnel2(), tm.PersonnelIntegration(), db1, db2, 1)
 }
 
+// boundEngine builds an engine over res with Ship routed to the given
+// member stores.
+func boundEngine(res *core.Result, members ...store.Backend) (*view.Engine, error) {
+	reg := store.NewRegistry()
+	for _, m := range members {
+		if err := reg.Add(m); err != nil {
+			return nil, err
+		}
+	}
+	e := view.New(res)
+	e.BindStores(reg)
+	return e, nil
+}
+
 func findGlobal(res *core.Result, s string) *core.GlobalConstraint {
 	for i := range res.Derivation.Global {
 		if res.Derivation.Global[i].Expr.String() == s {
@@ -569,7 +583,11 @@ func B2(attempts int, rates []float64) ([]B2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := view.New(res)
+		e, err := boundEngine(res, local, remote)
+		if err != nil {
+			return nil, err
+		}
+		ctx := context.Background()
 		row := B2Row{ViolationRate: rate, Attempts: attempts}
 		for i := 0; i < attempts; i++ {
 			doomed := float64(i%20)/20 < rate
@@ -585,11 +603,16 @@ func B2(attempts int, rates []float64) ([]B2Row, error) {
 				"shopprice": object.Real(30), "libprice": object.Real(25),
 				"ref?": object.Bool(ref), "rating": object.Int(8),
 			}
-			if rejs := e.ValidateInsert("Proceedings", attrs); len(rejs) > 0 {
+			ops := []view.Mutation{{Kind: view.MutInsert, Class: "Proceedings", Attrs: attrs}}
+			rejs, _, err := e.Validate(ctx, ops)
+			if err != nil {
+				return nil, err
+			}
+			if len(rejs) > 0 {
 				row.RejectedEarly++
 				continue
 			}
-			if err := e.ShipInsert(remote, "Proceedings", attrs); err != nil {
+			if err := e.Ship(ctx, ops); err != nil {
 				row.LocalRejects++
 			}
 		}
@@ -902,21 +925,30 @@ func B7(scales []int, iters int) ([]B7Row, error) {
 				Rows: len(fastRows), Scanned: fastStats.Scanned, IndexHits: fastStats.IndexHits,
 			})
 		}
-		// Insert validation: O(1) key-index probe vs full extent copy.
-		attrs := map[string]object.Value{
+		// Insert validation of a duplicate key, with and without the
+		// snapshot key index.
+		probe := []view.Mutation{{Kind: view.MutInsert, Class: "Item", Attrs: map[string]object.Value{
 			"title": object.Str("B7 probe"), "isbn": object.Str("vldb96"), // duplicate key
 			"shopprice": object.Real(10), "libprice": object.Real(5),
-		}
-		timeVal := func(useIdx bool) time.Duration {
+		}}}
+		timeVal := func(useIdx bool) (time.Duration, error) {
 			e.UseIndexes = useIdx
 			t0 := time.Now()
 			for i := 0; i < iters; i++ {
-				e.ValidateInsert("Item", attrs)
+				if rejs, _, err := e.Validate(context.Background(), probe); err != nil || len(rejs) == 0 {
+					return 0, fmt.Errorf("B7 scale=%d: duplicate-key probe not rejected (err %v)", scale, err)
+				}
 			}
-			return time.Since(t0) / time.Duration(iters)
+			return time.Since(t0) / time.Duration(iters), nil
 		}
-		scanT := timeVal(false)
-		fastT := timeVal(true)
+		scanT, err := timeVal(false)
+		if err != nil {
+			return nil, err
+		}
+		fastT, err := timeVal(true)
+		if err != nil {
+			return nil, err
+		}
 		e.UseIndexes = true
 		rows = append(rows, B7Row{
 			Scale: scale, Extent: len(res.View.Extent("Item")),
@@ -928,10 +960,11 @@ func B7(scales []int, iters int) ([]B7Row, error) {
 }
 
 // B8Row is one mutation-throughput measurement over the scaled Figure 1
-// fixture (DESIGN.md §7): shipping N singleton insert transactions versus
-// one batched ShipTx (the local manager validates once per commit, so
-// batching amortises the deferred CheckAll), and the constraint×row work
-// of a delta-restricted ValidateUpdate versus exhaustive re-validation.
+// fixture (DESIGN.md §7): shipping N singleton insert batches versus one
+// batch of N (the local manager validates once per commit and Ship
+// journals once per batch, so batching amortises both), and the
+// constraint×row work of a delta-restricted update validation versus
+// exhaustive re-validation.
 type B8Row struct {
 	Scale int
 	Mode  string // "singleton-inserts", "batched-tx", "validate-delta"
@@ -963,8 +996,10 @@ func B8(scales []int, batch int) ([]B8Row, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			return view.New(res), remote, nil
+			e, err := boundEngine(res, local, remote)
+			return e, remote, err
 		}
+		ctx := context.Background()
 		mkAttrs := func(remote *store.Store, i int) map[string]object.Value {
 			pub := remote.Extent("Publisher")[0]
 			return map[string]object.Value{
@@ -982,7 +1017,8 @@ func B8(scales []int, batch int) ([]B8Row, error) {
 		}
 		t0 := time.Now()
 		for i := 0; i < batch; i++ {
-			if err := eS.ShipInsert(remoteS, "Item", mkAttrs(remoteS, i)); err != nil {
+			insert := []view.Mutation{{Kind: view.MutInsert, Class: "Item", Attrs: mkAttrs(remoteS, i)}}
+			if err := eS.Ship(ctx, insert); err != nil {
 				return nil, fmt.Errorf("B8 scale=%d singleton insert %d: %w", scale, i, err)
 			}
 		}
@@ -998,7 +1034,7 @@ func B8(scales []int, batch int) ([]B8Row, error) {
 			ops[i] = view.Mutation{Kind: view.MutInsert, Class: "Item", Attrs: mkAttrs(remoteB, i)}
 		}
 		t0 = time.Now()
-		if err := eB.ShipTx(remoteB, ops); err != nil {
+		if err := eB.Ship(ctx, ops); err != nil {
 			return nil, fmt.Errorf("B8 scale=%d batched tx: %w", scale, err)
 		}
 		batched := time.Since(t0)
@@ -1035,7 +1071,8 @@ func B8(scales []int, batch int) ([]B8Row, error) {
 		var delta, full view.ValidateStats
 		t0 = time.Now()
 		for i := 0; i < deltaIters; i++ {
-			_, delta, err = eB.ValidateUpdate("Proceedings", target, map[string]object.Value{"ref?": object.Bool(true)})
+			_, delta, err = eB.Validate(ctx, []view.Mutation{{Kind: view.MutUpdate, Class: "Proceedings", ID: target,
+				Attrs: map[string]object.Value{"ref?": object.Bool(true)}}})
 			if err != nil {
 				return nil, fmt.Errorf("B8 scale=%d validate: %w", scale, err)
 			}
@@ -1068,7 +1105,7 @@ type B9Row struct {
 	Ops           int           // total queries served
 	Total         time.Duration // wall time for the reader pool
 	PerOp         time.Duration // wall time × readers / ops (per-query cost)
-	Mutations     int           // ShipTx batches committed during the run
+	Mutations     int           // Ship batches committed during the run
 	PlanHitRate   float64
 	SolverQueries int64 // planner solver calls during the reader phase
 }
@@ -1083,7 +1120,7 @@ func (r B9Row) Throughput() float64 {
 
 // B9 measures concurrent-reader serving over the scaled Figure 1
 // fixture: reader goroutines run a fixed query mix against the
-// published snapshot (Run takes no lock) while one writer ships ShipTx
+// published snapshot (Run takes no lock) while one writer ships insert
 // batches that republish it. Row answers are cross-checked against the
 // single-threaded engine before timing; on a multi-core host the
 // aggregate throughput scales with the reader count (CI is single-core,
@@ -1096,7 +1133,10 @@ func B9(scale, readers, opsPerReader int) (B9Row, error) {
 	if err != nil {
 		return row, err
 	}
-	e := view.New(res)
+	e, err := boundEngine(res, local, remote)
+	if err != nil {
+		return row, err
+	}
 	queries := []view.Query{
 		{Class: "Item", Where: expr.MustParse("isbn = 'vldb96'")},
 		{Class: "Item", Where: expr.MustParse("shopprice <= 20")},
@@ -1138,7 +1178,7 @@ func B9(scale, readers, opsPerReader int) (B9Row, error) {
 				"publisher": object.Ref{DB: remote.Name(), OID: 2},
 				"shopprice": object.Real(50), "libprice": object.Real(40),
 			}}}
-			if err := e.ShipTx(remote, ops); err != nil {
+			if err := e.Ship(context.Background(), ops); err != nil {
 				errs <- fmt.Errorf("B9 writer batch %d: %w", i, err)
 				return
 			}
@@ -1242,7 +1282,10 @@ func B9V(scale, readers, opsPerReader int, writeInterval time.Duration) (B9VRow,
 	if err != nil {
 		return row, err
 	}
-	e := view.New(res)
+	e, err := boundEngine(res, local, remote)
+	if err != nil {
+		return row, err
+	}
 	queries := []view.Query{
 		{Class: "Item", Where: expr.MustParse("isbn = 'vldb96'")},
 		{Class: "Item", Where: expr.MustParse("shopprice <= 20")},
@@ -1285,7 +1328,7 @@ func B9V(scale, readers, opsPerReader int, writeInterval time.Duration) (B9VRow,
 				"publisher": object.Ref{DB: remote.Name(), OID: 2},
 				"shopprice": object.Real(50), "libprice": object.Real(40),
 			}
-			if err := e.ShipInsert(remote, "Item", attrs); err != nil {
+			if err := e.Ship(context.Background(), []view.Mutation{{Kind: view.MutInsert, Class: "Item", Attrs: attrs}}); err != nil {
 				errs <- fmt.Errorf("B9V writer insert %d: %w", i, err)
 				return
 			}
@@ -1569,16 +1612,11 @@ func b12Engine(scale int, libOpts chaos.Options) (*view.Engine, *chaos.Backend, 
 	if err != nil {
 		return nil, nil, "", 0, err
 	}
-	e := view.New(res)
 	cb := chaos.Wrap(lib, libOpts)
-	reg := store.NewRegistry()
-	if err := reg.Add(cb); err != nil {
+	e, err := boundEngine(res, cb, bs)
+	if err != nil {
 		return nil, nil, "", 0, err
 	}
-	if err := reg.Add(bs); err != nil {
-		return nil, nil, "", 0, err
-	}
-	e.BindStores(reg)
 	e.Retry = view.RetryPolicy{BaseDelay: time.Microsecond, MaxDelay: time.Microsecond, Sleep: func(time.Duration) {}}
 	vldbID := -1
 	for _, g := range res.View.Objects {
@@ -1800,15 +1838,10 @@ func b13Bare(scale int) (*view.Engine, string, int, error) {
 	if err != nil {
 		return nil, "", 0, err
 	}
-	e := view.New(res)
-	reg := store.NewRegistry()
-	if err := reg.Add(lib); err != nil {
+	e, err := boundEngine(res, lib, bs)
+	if err != nil {
 		return nil, "", 0, err
 	}
-	if err := reg.Add(bs); err != nil {
-		return nil, "", 0, err
-	}
-	e.BindStores(reg)
 	id, err := b13VLDB(res)
 	return e, bs.Name(), id, err
 }

@@ -7,11 +7,11 @@ import (
 
 // Registry is the member registry of a federation: the component
 // backends currently attached, addressable by database name. The view
-// engine's routed shipping (ShipTxRouted) resolves each operation's
-// target backend through it, so callers need not know which member
-// holds which constituent. It holds Backend values (not concrete
-// stores) so a member can be served through a wrapper — fault injection
-// today, remote transports later. Safe for concurrent use.
+// engine's Ship resolves each operation's target backend through it, so
+// callers need not know which member holds which constituent. It holds
+// Backend values (not concrete stores) so a member can be served through
+// a wrapper — fault injection today, remote transports later. Safe for
+// concurrent use.
 type Registry struct {
 	mu     sync.RWMutex
 	byName map[string]Backend

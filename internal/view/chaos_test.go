@@ -33,12 +33,13 @@ type chaosHarness struct {
 
 func newChaosHarness(t testing.TB, scale int, libOpts, bsOpts chaos.Options) *chaosHarness {
 	t.Helper()
-	e, local, remote := engineWithStores(t, scale)
+	e, local, remote := boundEngine(t, scale)
 	h := &chaosHarness{
 		e: e, libStore: local, bsStore: remote,
 		lib: chaos.Wrap(local, libOpts),
 		bs:  chaos.Wrap(remote, bsOpts),
 	}
+	// Rebind Ship to the wrapped members.
 	reg := store.NewRegistry()
 	if err := reg.Add(h.lib); err != nil {
 		t.Fatal(err)

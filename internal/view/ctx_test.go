@@ -7,25 +7,9 @@ import (
 	"reflect"
 	"testing"
 
-	"interopdb/internal/core"
 	"interopdb/internal/expr"
-	"interopdb/internal/fixture"
 	"interopdb/internal/object"
-	"interopdb/internal/store"
-	"interopdb/internal/tm"
 )
-
-// engineWithStores is scaledEngine plus the component stores, for tests
-// exercising the routed Ship path.
-func engineWithStores(t testing.TB, scale int) (*Engine, *store.Store, *store.Store) {
-	t.Helper()
-	local, remote := fixture.Figure1Stores(fixture.Options{Scale: scale})
-	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
-	if err != nil {
-		t.Fatalf("Integrate: %v", err)
-	}
-	return New(res), local, remote
-}
 
 func cancelledCtx() context.Context {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -128,15 +112,7 @@ func TestValidateCancelled(t *testing.T) {
 // cancelled before any member commit rolls back everywhere — the
 // component stores and the integrated view are untouched.
 func TestShipCancelledLeavesViewUnchanged(t *testing.T) {
-	e, local, remote := engineWithStores(t, 2)
-	reg := store.NewRegistry()
-	if err := reg.Add(local); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Add(remote); err != nil {
-		t.Fatal(err)
-	}
-	e.BindStores(reg)
+	e, _, remote := boundEngine(t, 2)
 
 	extent := func() int {
 		rows, _, err := e.Run(Query{Class: "Item"})
@@ -173,6 +149,7 @@ func TestShipCancelledLeavesViewUnchanged(t *testing.T) {
 // TestShipWithoutBoundStores pins the unified Ship's precondition.
 func TestShipWithoutBoundStores(t *testing.T) {
 	e := scaledEngine(t, 0)
+	e.BindStores(nil)
 	err := e.Ship(context.Background(), []Mutation{{Kind: MutDelete, Class: "Item", ID: 1}})
 	if err == nil {
 		t.Fatal("Ship without BindStores succeeded")

@@ -125,25 +125,11 @@ type ordIndex struct {
 	entries []ordEntry
 }
 
-// keyIndex is the composite-key uniqueness index consumed by
-// ValidateInsert: a multiplicity count per KeyString encoding present
-// in the frozen extent, plus the number of keys held by more than one
-// object. preDup() reports a duplicate already in the extent (then
-// every insert is rejected, matching expr.EvalKey over the combined
-// extension).
+// keyIndex is the composite-key uniqueness index consumed by insert
+// validation (txState.findKeyHolder): a multiplicity count per KeyString
+// encoding present in the frozen extent.
 type keyIndex struct {
 	count map[string]int
-	dups  int
-}
-
-func (ix *keyIndex) preDup() bool { return ix.dups > 0 }
-
-// add registers one object's key encoding at build time.
-func (ix *keyIndex) add(k string) {
-	ix.count[k]++
-	if ix.count[k] == 2 {
-		ix.dups++
-	}
 }
 
 // eqFor returns (building on first use) the class's hash index on the
@@ -246,7 +232,7 @@ func buildKey(ext []*core.GObj, attrs []string) *keyIndex {
 		if !ok {
 			continue
 		}
-		ix.add(k)
+		ix.count[k]++
 	}
 	return ix
 }
@@ -367,21 +353,6 @@ func rangeProbe(ix *ordIndex, op expr.Op, c object.Value) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// keyViolated probes the composite-key uniqueness index of the current
-// snapshot with the proposed object. Caller must hold e.mu (read) AND
-// have checked e.pending == nil: only then is the published snapshot
-// guaranteed current with the live view (a staged-but-unflushed
-// publication means the snapshot lags the live extension), so the probe
-// answers over exactly the live extension.
-func (e *Engine) keyViolated(class string, attrs []string, obj expr.Object) bool {
-	ix := e.keyFor(e.snap.Load().class(class), attrs)
-	if ix.preDup() {
-		return true
-	}
-	k, ok := expr.KeyString(obj, attrs)
-	return ok && ix.count[k] > 0
 }
 
 func dedupSorted(in []int) []int {

@@ -1,30 +1,16 @@
 package view
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"interopdb/internal/core"
 	"interopdb/internal/expr"
-	"interopdb/internal/fixture"
 	"interopdb/internal/object"
-	"interopdb/internal/store"
-	"interopdb/internal/tm"
 )
-
-// scaledEngineStores builds the engine over the repaired Figure 1 spec
-// at the given fixture scale and keeps the component stores for the
-// Ship* methods.
-func scaledEngineStores(t testing.TB, scale int) (*Engine, *store.Store, *store.Store) {
-	t.Helper()
-	local, remote := fixture.Figure1Stores(fixture.Options{Scale: scale})
-	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
-	if err != nil {
-		t.Fatalf("Integrate: %v", err)
-	}
-	return New(res), local, remote
-}
 
 // findByISBN returns the Item member holding the isbn.
 func findByISBN(t testing.TB, e *Engine, isbn string) *core.GObj {
@@ -39,16 +25,17 @@ func findByISBN(t testing.TB, e *Engine, isbn string) *core.GObj {
 }
 
 // TestValidateUpdateDeltaVsCheckAll pins the acceptance criterion: at
-// Scale 50 a delta-restricted ValidateUpdate re-checks strictly fewer
+// Scale 50 a delta-restricted update validation re-checks strictly fewer
 // constraint×row pairs than exhaustive re-validation, and skips
 // constraints whose footprint the update cannot touch.
 func TestValidateUpdateDeltaVsCheckAll(t *testing.T) {
-	e, _, _ := scaledEngineStores(t, 50)
+	e := scaledEngine(t, 50)
 	g := findByISBN(t, e, "vldb96")
 
 	// Touching ref? intersects the IEEE constraint's footprint: exactly
 	// one constraint×row pair is evaluated.
-	rejs, upd, err := e.ValidateUpdate("Proceedings", g.ID, map[string]object.Value{"ref?": object.Bool(true)})
+	rejs, upd, err := e.Validate(context.Background(), []Mutation{{Kind: MutUpdate, Class: "Proceedings", ID: g.ID,
+		Attrs: map[string]object.Value{"ref?": object.Bool(true)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +49,8 @@ func TestValidateUpdateDeltaVsCheckAll(t *testing.T) {
 	// Touching only the authors set intersects no constraint footprint
 	// in the object's whole class group (title would: the ProceedingsLike
 	// disjunction reads it): zero pairs, everything skipped.
-	_, none, err := e.ValidateUpdate("Proceedings", g.ID, map[string]object.Value{"authors": object.NewSet(object.Str("Zobel"))})
+	_, none, err := e.Validate(context.Background(), []Mutation{{Kind: MutUpdate, Class: "Proceedings", ID: g.ID,
+		Attrs: map[string]object.Value{"authors": object.NewSet(object.Str("Zobel"))}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +69,7 @@ func TestValidateUpdateDeltaVsCheckAll(t *testing.T) {
 		t.Errorf("delta update checked %d pairs, CheckAll %d — want strictly fewer",
 			upd.PairsChecked, full.PairsChecked)
 	}
-	t.Logf("scale 50: ValidateUpdate pairs=%d skipped=%d; CheckAll pairs=%d",
+	t.Logf("scale 50: update validation pairs=%d skipped=%d; CheckAll pairs=%d",
 		upd.PairsChecked, upd.ConstraintsSkipped, full.PairsChecked)
 }
 
@@ -90,10 +78,11 @@ func TestValidateUpdateDeltaVsCheckAll(t *testing.T) {
 // carries the minimal repair (restore ref? = true), and applying the
 // repair validates cleanly.
 func TestValidateUpdateRejectsWithRepair(t *testing.T) {
-	e, _, _ := scaledEngineStores(t, 1)
+	e := scaledEngine(t, 1)
 	g := findByISBN(t, e, "vldb96") // published by IEEE
 
-	rejs, _, err := e.ValidateUpdate("Proceedings", g.ID, map[string]object.Value{"ref?": object.Bool(false)})
+	rejs, _, err := e.Validate(context.Background(), []Mutation{{Kind: MutUpdate, Class: "Proceedings", ID: g.ID,
+		Attrs: map[string]object.Value{"ref?": object.Bool(false)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +101,8 @@ func TestValidateUpdateRejectsWithRepair(t *testing.T) {
 	}
 
 	// The proposed repair restores consistency.
-	again, _, err := e.ValidateUpdate("Proceedings", g.ID, map[string]object.Value{rep.Attr: rep.Value})
+	again, _, err := e.Validate(context.Background(), []Mutation{{Kind: MutUpdate, Class: "Proceedings", ID: g.ID,
+		Attrs: map[string]object.Value{rep.Attr: rep.Value}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +115,12 @@ func TestValidateUpdateRejectsWithRepair(t *testing.T) {
 // key is rejected with a tuple-deletion repair naming the conflicting
 // tuple; a delete of that tuple earlier in the same batch frees the key.
 func TestValidateUpdateKeyConflict(t *testing.T) {
-	e, _, _ := scaledEngineStores(t, 1)
+	e := scaledEngine(t, 1)
 	holder := findByISBN(t, e, "vldb96")
 	mover := findByISBN(t, e, "tp-book")
 
-	rejs, _, err := e.ValidateUpdate("Item", mover.ID, map[string]object.Value{"isbn": object.Str("vldb96")})
+	rejs, _, err := e.Validate(context.Background(), []Mutation{{Kind: MutUpdate, Class: "Item", ID: mover.ID,
+		Attrs: map[string]object.Value{"isbn": object.Str("vldb96")}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +132,7 @@ func TestValidateUpdateKeyConflict(t *testing.T) {
 	}
 
 	// Batch order matters: delete the holder first and the key is free.
-	rejs, _, err = e.ValidateTx([]Mutation{
+	rejs, _, err = e.Validate(context.Background(), []Mutation{
 		{Kind: MutDelete, Class: "Item", ID: holder.ID},
 		{Kind: MutUpdate, Class: "Item", ID: mover.ID, Attrs: map[string]object.Value{"isbn": object.Str("vldb96")}},
 	})
@@ -153,7 +144,7 @@ func TestValidateUpdateKeyConflict(t *testing.T) {
 	}
 
 	// Reversed, the update still sees the holder.
-	rejs, _, err = e.ValidateTx([]Mutation{
+	rejs, _, err = e.Validate(context.Background(), []Mutation{
 		{Kind: MutUpdate, Class: "Item", ID: mover.ID, Attrs: map[string]object.Value{"isbn": object.Str("vldb96")}},
 		{Kind: MutDelete, Class: "Item", ID: holder.ID},
 	})
@@ -168,8 +159,7 @@ func TestValidateUpdateKeyConflict(t *testing.T) {
 // TestValidateTxIntraBatchInserts: two staged inserts claiming one key
 // conflict with each other before anything ships.
 func TestValidateTxIntraBatchInserts(t *testing.T) {
-	e, _, remote := scaledEngineStores(t, 1)
-	_ = remote
+	e := scaledEngine(t, 1)
 	mk := func(isbn string) map[string]object.Value {
 		return map[string]object.Value{
 			"title": object.Str("batch " + isbn), "isbn": object.Str(isbn),
@@ -177,7 +167,7 @@ func TestValidateTxIntraBatchInserts(t *testing.T) {
 			"shopprice": object.Real(20), "libprice": object.Real(15),
 		}
 	}
-	rejs, _, err := e.ValidateTx([]Mutation{
+	rejs, _, err := e.Validate(context.Background(), []Mutation{
 		{Kind: MutInsert, Class: "Item", Attrs: mk("twin")},
 		{Kind: MutInsert, Class: "Item", Attrs: mk("twin")},
 	})
@@ -192,7 +182,7 @@ func TestValidateTxIntraBatchInserts(t *testing.T) {
 	}
 
 	// Distinct keys pass.
-	rejs, _, err = e.ValidateTx([]Mutation{
+	rejs, _, err = e.Validate(context.Background(), []Mutation{
 		{Kind: MutInsert, Class: "Item", Attrs: mk("twin-a")},
 		{Kind: MutInsert, Class: "Item", Attrs: mk("twin-b")},
 	})
@@ -208,9 +198,9 @@ func TestValidateTxIntraBatchInserts(t *testing.T) {
 // removed object's own constraints or a key, so with no extent-reading
 // constraints derived for the class the delta rule checks zero pairs.
 func TestValidateDeleteSkipsSelfConstraints(t *testing.T) {
-	e, _, _ := scaledEngineStores(t, 1)
+	e := scaledEngine(t, 1)
 	g := findByISBN(t, e, "wkshp1")
-	rejs, stats, err := e.ValidateDelete("Proceedings", g.ID)
+	rejs, stats, err := e.Validate(context.Background(), []Mutation{{Kind: MutDelete, Class: "Proceedings", ID: g.ID}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +219,11 @@ func TestValidateDeleteSkipsSelfConstraints(t *testing.T) {
 // store, updates the integrated view, maintains the extent indexes, and
 // reclassifies the object across Sim memberships.
 func TestShipUpdateLifecycle(t *testing.T) {
-	e, _, remote := scaledEngineStores(t, 1)
+	e, _, remote := boundEngine(t, 1)
+	ctx := context.Background()
+	update := func(id int, attrs map[string]object.Value) error {
+		return e.Ship(ctx, []Mutation{{Kind: MutUpdate, Class: "Proceedings", ID: id, Attrs: attrs}})
+	}
 	g := findByISBN(t, e, "caise96") // bookseller-only refereed proceedings
 
 	// Warm the indexes so maintenance (not lazy rebuild) is exercised.
@@ -243,8 +237,8 @@ func TestShipUpdateLifecycle(t *testing.T) {
 		}
 	}
 
-	if err := e.ShipUpdate(remote, "Proceedings", g.ID, map[string]object.Value{"rating": object.Int(9)}); err != nil {
-		t.Fatalf("ShipUpdate: %v", err)
+	if err := update(g.ID, map[string]object.Value{"rating": object.Int(9)}); err != nil {
+		t.Fatalf("Ship update: %v", err)
 	}
 	// The component store saw the update.
 	for _, o := range remote.FindByAttr("Proceedings", "isbn", object.Str("caise96")) {
@@ -269,8 +263,8 @@ func TestShipUpdateLifecycle(t *testing.T) {
 	}
 
 	// Clearing ref? moves the object out of RefereedPubl (r3 membership).
-	if err := e.ShipUpdate(remote, "Proceedings", g.ID, map[string]object.Value{"ref?": object.Bool(false), "rating": object.Int(5)}); err != nil {
-		t.Fatalf("ShipUpdate ref?: %v", err)
+	if err := update(g.ID, map[string]object.Value{"ref?": object.Bool(false), "rating": object.Int(5)}); err != nil {
+		t.Fatalf("Ship update ref?: %v", err)
 	}
 	runBoth(t, e, Query{Class: "RefereedPubl", Where: expr.MustParse("rating >= 1")})
 	rrows, _, err := e.Run(Query{Class: "RefereedPubl", Select: []string{"isbn"}})
@@ -287,7 +281,7 @@ func TestShipUpdateLifecycle(t *testing.T) {
 	// ref? = true violates the Bookseller's oc2 at the store.
 	g2 := findByISBN(t, e, "vldb96")
 	before, _, _ := e.Run(Query{Class: "Proceedings", Where: expr.MustParse("rating >= 8")})
-	if err := e.ShipUpdate(remote, "Proceedings", g2.ID, map[string]object.Value{"rating": object.Int(2)}); err == nil {
+	if err := update(g2.ID, map[string]object.Value{"rating": object.Int(2)}); err == nil {
 		t.Fatal("rating 2 on a refereed proceedings must be rejected by the local manager")
 	}
 	after, _, _ := e.Run(Query{Class: "Proceedings", Where: expr.MustParse("rating >= 8")})
@@ -299,12 +293,13 @@ func TestShipUpdateLifecycle(t *testing.T) {
 // TestShipDeleteLifecycle: a shipped delete removes the object from the
 // component store and the view; a locally rejected delete is a no-op.
 func TestShipDeleteLifecycle(t *testing.T) {
-	e, local, remote := scaledEngineStores(t, 1)
+	e, _, remote := boundEngine(t, 1)
+	ctx := context.Background()
 
 	// Deleting the only ACM item violates db1 (every publisher has an
 	// item) at the Bookseller: rejected, view unchanged.
 	mono := findByISBN(t, e, "tp-book")
-	if err := e.ShipDelete("Item", mono.ID, local, remote); err == nil {
+	if err := e.Ship(ctx, []Mutation{{Kind: MutDelete, Class: "Item", ID: mono.ID}}); err == nil {
 		t.Fatal("deleting ACM's only item must be rejected by db1")
 	}
 	if _, ok := e.res.View.ByID(mono.ID); !ok {
@@ -322,8 +317,8 @@ func TestShipDeleteLifecycle(t *testing.T) {
 		}
 	}
 	wk := findByISBN(t, e, "wkshp1")
-	if err := e.ShipDelete("Proceedings", wk.ID, local, remote); err != nil {
-		t.Fatalf("ShipDelete: %v", err)
+	if err := e.Ship(ctx, []Mutation{{Kind: MutDelete, Class: "Proceedings", ID: wk.ID}}); err != nil {
+		t.Fatalf("Ship delete: %v", err)
 	}
 	if len(remote.FindByAttr("Item", "isbn", object.Str("wkshp1"))) != 0 {
 		t.Error("store still holds the deleted object")
@@ -343,15 +338,17 @@ func TestShipDeleteLifecycle(t *testing.T) {
 		"publisher": object.Ref{DB: "Bookseller", OID: 3},
 		"shopprice": object.Real(10), "libprice": object.Real(5),
 	}
-	if rejs := e.ValidateInsert("Item", attrs); len(rejs) != 0 {
-		t.Errorf("insert reclaiming a freed key rejected: %v", rejs)
+	if rejs, _, err := e.Validate(ctx, []Mutation{{Kind: MutInsert, Class: "Item", Attrs: attrs}}); err != nil || len(rejs) != 0 {
+		t.Errorf("insert reclaiming a freed key rejected: %v %v", rejs, err)
 	}
 }
 
-// TestShipTxMixedBatch: a mixed batch ships as one deferred-validation
-// local transaction — all-or-nothing at the store AND at the view.
+// TestShipTxMixedBatch: a mixed batch whose operations all route to one
+// member ships as one deferred-validation local transaction —
+// all-or-nothing at the store AND at the view.
 func TestShipTxMixedBatch(t *testing.T) {
-	e, _, remote := scaledEngineStores(t, 1)
+	e, _, remote := boundEngine(t, 1)
+	ctx := context.Background()
 	upd := findByISBN(t, e, "caise96")
 	del := findByISBN(t, e, "wkshp1")
 	mk := func(isbn string, lib, shop float64) map[string]object.Value {
@@ -366,7 +363,7 @@ func TestShipTxMixedBatch(t *testing.T) {
 	// A failing batch: the second insert violates oc1 (libprice >
 	// shopprice) at deferred local validation. Nothing — including the
 	// valid first ops — may stick.
-	err := e.ShipTx(remote, []Mutation{
+	err := e.Ship(ctx, []Mutation{
 		{Kind: MutInsert, Class: "Item", Attrs: mk("batch-ok", 10, 20)},
 		{Kind: MutUpdate, Class: "Proceedings", ID: upd.ID, Attrs: map[string]object.Value{"rating": object.Int(9)}},
 		{Kind: MutInsert, Class: "Item", Attrs: mk("batch-bad", 99, 20)},
@@ -385,13 +382,13 @@ func TestShipTxMixedBatch(t *testing.T) {
 	}
 
 	// The clean batch commits once and applies everywhere.
-	err = e.ShipTx(remote, []Mutation{
+	err = e.Ship(ctx, []Mutation{
 		{Kind: MutInsert, Class: "Item", Attrs: mk("batch-ok", 10, 20)},
 		{Kind: MutUpdate, Class: "Proceedings", ID: upd.ID, Attrs: map[string]object.Value{"rating": object.Int(9)}},
 		{Kind: MutDelete, Class: "Proceedings", ID: del.ID},
 	})
 	if err != nil {
-		t.Fatalf("ShipTx: %v", err)
+		t.Fatalf("Ship: %v", err)
 	}
 	if n := len(e.res.View.Extent("Item")); n != itemsBefore { // +1 insert −1 delete
 		t.Errorf("view Item extent = %d, want %d", n, itemsBefore)
@@ -462,7 +459,7 @@ func checkViewInvariants(t *testing.T, e *Engine) {
 }
 
 // TestMutationDifferentialRandomized drives 200+ random mixed mutations
-// (ship-insert / ship-update / ship-delete / batched tx) through the
+// (insert / update / delete / mixed batch, all through Ship) through the
 // engine at several scales, asserting after every operation that the
 // indexed serving path, the pure-scan path and the view state agree —
 // the invariant that pins noteUpdate/noteDelete/noteReclass index
@@ -470,7 +467,8 @@ func checkViewInvariants(t *testing.T, e *Engine) {
 func TestMutationDifferentialRandomized(t *testing.T) {
 	for _, scale := range []int{1, 10, 50} {
 		t.Run(fmt.Sprintf("scale=%d", scale), func(t *testing.T) {
-			e, local, remote := scaledEngineStores(t, scale)
+			e, _, remote := boundEngine(t, scale)
+			ctx := context.Background()
 			rng := rand.New(rand.NewSource(int64(scale) * 7919))
 			nops := 200
 			if scale == 50 {
@@ -503,7 +501,7 @@ func TestMutationDifferentialRandomized(t *testing.T) {
 				var err error
 				switch rng.Intn(10) {
 				case 0, 1, 2: // insert
-					err = e.ShipInsert(remote, "Item", mkInsert(i))
+					err = e.Ship(ctx, []Mutation{{Kind: MutInsert, Class: "Item", Attrs: mkInsert(i)}})
 				case 3, 4, 5: // update
 					if g := randItem(); g != nil {
 						attrs := map[string]object.Value{}
@@ -519,11 +517,11 @@ func TestMutationDifferentialRandomized(t *testing.T) {
 							attrs["ref?"] = object.Bool(rng.Intn(2) == 0)
 							attrs["rating"] = object.Int(int64(7 + rng.Intn(3)))
 						}
-						err = e.ShipUpdate(remote, "Item", g.ID, attrs)
+						err = e.Ship(ctx, []Mutation{{Kind: MutUpdate, Class: "Item", ID: g.ID, Attrs: attrs}})
 					}
 				case 6, 7: // delete
 					if g := randItem(); g != nil {
-						err = e.ShipDelete("Item", g.ID, local, remote)
+						err = e.Ship(ctx, []Mutation{{Kind: MutDelete, Class: "Item", ID: g.ID}})
 					}
 				default: // mixed batch
 					ops := []Mutation{{Kind: MutInsert, Class: "Item", Attrs: mkInsert(1000 + i)}}
@@ -531,10 +529,10 @@ func TestMutationDifferentialRandomized(t *testing.T) {
 						ops = append(ops, Mutation{Kind: MutUpdate, Class: "Item", ID: g.ID,
 							Attrs: map[string]object.Value{"shopprice": object.Real(float64(20 + rng.Intn(60)))}})
 					}
-					err = e.ShipTx(remote, ops)
+					err = e.Ship(ctx, ops)
 				}
 				if err != nil {
-					rejected++ // local manager refused (or object spans stores): state must be unchanged
+					rejected++ // a member refused (or lacks an attribute): state must be unchanged
 				} else {
 					shipped++
 				}
@@ -543,19 +541,18 @@ func TestMutationDifferentialRandomized(t *testing.T) {
 				}
 				if i%20 == 0 {
 					checkViewInvariants(t, e)
-					// Key-probe differential: the maintained key index and
-					// the reference extent sweep agree.
-					probe := map[string]object.Value{
-						"title": object.Str("probe"), "isbn": object.Str("vldb96"),
-						"shopprice": object.Real(10), "libprice": object.Real(5),
-					}
-					e.UseIndexes = true
-					fast := len(e.ValidateInsert("Item", probe))
-					e.UseIndexes = false
-					slow := len(e.ValidateInsert("Item", probe))
-					e.UseIndexes = true
-					if fast != slow {
-						t.Fatalf("op %d: key-index probe diverges from extent sweep: %d vs %d", i, fast, slow)
+					// Key-probe differential: the snapshot key index and the
+					// reference extent sweep agree, on a live key and on
+					// a fresh one.
+					for _, isbn := range []string{"vldb96", fmt.Sprintf("fresh-%d", i)} {
+						probe := []Mutation{{Kind: MutInsert, Class: "Item", Attrs: map[string]object.Value{
+							"title": object.Str("probe"), "isbn": object.Str(isbn),
+							"shopprice": object.Real(10), "libprice": object.Real(5),
+						}}}
+						fast, slow := validateBoth(t, e, probe)
+						if !reflect.DeepEqual(fast, slow) {
+							t.Fatalf("op %d: key-index probe diverges from extent sweep:\nindexed: %v\nscan:    %v", i, fast, slow)
+						}
 					}
 				}
 			}
@@ -574,13 +571,14 @@ func TestMutationDifferentialRandomized(t *testing.T) {
 // the object's classes the caller names (a clean verdict via a
 // superclass would ship a mutation the local manager then refuses).
 func TestValidateVerdictIndependentOfNamedClass(t *testing.T) {
-	e, _, _ := scaledEngineStores(t, 1)
+	e := scaledEngine(t, 1)
 	g := findByISBN(t, e, "vldb96") // IEEE-published: ref? = false violates oc1
 	for _, class := range []string{"Proceedings", "Item", "Publication", "RefereedPubl"} {
 		if !g.Classes[class] {
 			t.Fatalf("fixture drift: vldb96 not in %s", class)
 		}
-		rejs, _, err := e.ValidateUpdate(class, g.ID, map[string]object.Value{"ref?": object.Bool(false)})
+		rejs, _, err := e.Validate(context.Background(), []Mutation{{Kind: MutUpdate, Class: class, ID: g.ID,
+			Attrs: map[string]object.Value{"ref?": object.Bool(false)}}})
 		if err != nil {
 			t.Fatalf("via %s: %v", class, err)
 		}
@@ -597,12 +595,15 @@ func TestValidateVerdictIndependentOfNamedClass(t *testing.T) {
 
 	// Inserts get the chain closure too: a Proceedings insert must
 	// satisfy Item's key constraint.
-	rejs := e.ValidateInsert("Proceedings", map[string]object.Value{
+	rejs, _, err := e.Validate(context.Background(), []Mutation{{Kind: MutInsert, Class: "Proceedings", Attrs: map[string]object.Value{
 		"title": object.Str("dup"), "isbn": object.Str("vldb96"), // Item key collision
 		"publisher": object.Ref{DB: "Bookseller", OID: 3},
 		"shopprice": object.Real(20), "libprice": object.Real(15),
 		"ref?": object.Bool(true), "rating": object.Int(8),
-	})
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	foundKey := false
 	for _, r := range rejs {
 		if _, isKey := r.Constraint.Expr.(expr.Key); isKey {

@@ -68,7 +68,7 @@ func TestParseQueryErrors(t *testing.T) {
 }
 
 func TestParseQueryRunsOnEngine(t *testing.T) {
-	e := fig1Engine(t)
+	e := scaledEngine(t, 0)
 	q, err := ParseQuery("select title from RefereedPubl where rating >= 7")
 	if err != nil {
 		t.Fatal(err)

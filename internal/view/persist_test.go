@@ -13,7 +13,7 @@ import (
 // warming a cold engine with them makes the cold engine's first real
 // query a plan-cache hit that issues zero solver queries.
 func TestPlanExportWarm(t *testing.T) {
-	hot := fig1Engine(t)
+	hot := scaledEngine(t, 0)
 	queries := []Query{
 		{Class: "Proceedings", Where: expr.MustParse("rating >= 7")},
 		{Class: "Proceedings", Where: expr.MustParse("publisher.name = 'IEEE' and ref? = false")},
@@ -36,7 +36,7 @@ func TestPlanExportWarm(t *testing.T) {
 		t.Fatalf("ExportPlans not deterministic (err=%v)", err)
 	}
 
-	cold := fig1Engine(t)
+	cold := scaledEngine(t, 0)
 	warmed, skipped, err := cold.WarmPlans(context.Background(), data)
 	if err != nil {
 		t.Fatalf("WarmPlans: %v", err)
@@ -70,7 +70,7 @@ func TestPlanExportWarm(t *testing.T) {
 }
 
 func TestWarmPlansSkipsForeignShapes(t *testing.T) {
-	e := fig1Engine(t)
+	e := scaledEngine(t, 0)
 	// The engine's cost gate is on by default, so a shape recorded with
 	// the gate off is foreign, as is one for a class the federation
 	// doesn't serve.

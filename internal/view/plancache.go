@@ -90,7 +90,7 @@ type CacheStats struct {
 	// Compiles counts expr.Compile calls made by the planner.
 	Compiles int64
 	// Publishes counts snapshot publications: one at construction, one
-	// per flushed Ship* batch — under concurrent writers a single flush
+	// per flushed Ship batch — under concurrent writers a single flush
 	// may cover several batches (see RingStats.Coalesced).
 	Publishes int64
 }

@@ -11,55 +11,34 @@ import (
 // Routed shipping: in an N-member federation a batch's operations land
 // in different component databases — an insert goes to its global
 // class's origin member, an update to every member holding a
-// constituent of the target, a delete to all of them. ShipTxRouted
-// resolves each operation's member backends through the federation's
-// store.Registry and stages ONE deferred-validation transaction per
-// member, so each local manager validates its final state once
-// (preserving ShipTx's batching win) while the caller stays member-
-// agnostic.
+// constituent of the target, a delete to all of them. Ship resolves each
+// operation's member backends through the federation's store.Registry
+// and stages ONE deferred-validation transaction per member, so each
+// local manager validates its final state once while the caller stays
+// member-agnostic.
 
 // BindStores binds the federation's member-store registry to the
-// engine, enabling the unified Ship entrypoint. The federation that
-// owns the engine calls it at construction and after every membership
-// change; passing nil unbinds.
+// engine, enabling Ship. The federation that owns the engine calls it at
+// construction and after every membership change; passing nil unbinds.
 func (e *Engine) BindStores(reg *store.Registry) {
 	e.stores.Store(reg)
 }
 
-// Ship is the unified shipping entrypoint: it routes a validated mixed
-// insert/update/delete batch across the member stores the federation
-// bound with BindStores, one deferred-validation transaction per member
-// (see ShipTxRoutedContext for the routing and commit-order contract).
-// A singleton mutation is a one-element batch; the ShipInsert/
-// ShipUpdate/ShipDelete/ShipTx/ShipTxRouted names predate this
-// entrypoint and remain as documented wrappers for callers that manage
-// their own stores.
-func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
-	reg := e.stores.Load()
-	if reg == nil {
-		return fmt.Errorf("no store registry bound to the engine (BindStores was never called)")
-	}
-	return e.ShipTxRoutedContext(ctx, reg, ops)
-}
-
-// ShipTxRouted is ShipTxRoutedContext with context.Background() — a
-// documented wrapper kept for in-process callers with no deadline to
-// propagate.
-func (e *Engine) ShipTxRouted(reg *store.Registry, ops []Mutation) error {
-	return e.ShipTxRoutedContext(context.Background(), reg, ops)
-}
-
-// ShipTxRoutedContext stages a mixed insert/update/delete batch across
-// the member backends of the registry: every operation is routed to the
-// member database(s) that own it, one deferred-validation transaction
-// per member. Transactions commit in first-use order (deterministic);
-// because autonomous databases cannot commit atomically across members,
-// the commit phase is fault-tolerant end to end:
+// Ship is the engine's one shipping entrypoint: it routes a validated
+// mixed insert/update/delete batch across the member backends bound with
+// BindStores — every operation goes to the member database(s) that own
+// it, one deferred-validation transaction per member. A singleton
+// mutation is a one-element batch. Mutation attributes are in the
+// conformed (global) domain, the domain Validate evaluates; PropEq value
+// conversion to a member's native domain is not applied. Transactions commit in
+// first-use order (deterministic); because autonomous databases cannot
+// commit atomically across members, the commit phase is fault-tolerant
+// end to end:
 //
 //   - A member quarantined by its circuit breaker — or one with batches
 //     still pending in the commit journal — fast-fails the whole batch
-//     with ErrMemberUnavailable BEFORE anything is staged against its
-//     peers' managers commits, so no partial commit is possible.
+//     with ErrMemberUnavailable BEFORE any member commits, so no partial
+//     commit is possible.
 //   - Transient commit failures (store.ErrUnavailable) are retried with
 //     capped exponential backoff under a per-member time budget
 //     (Engine.Retry); a commit whose effects landed before the failure
@@ -77,9 +56,11 @@ func (e *Engine) ShipTxRouted(reg *store.Registry, ops []Mutation) error {
 //     with the federation restored; only if compensation itself stalls
 //     does the caller see a *PartialCommitError.
 //
-// On full success the batch is applied to the integrated view in order
-// and ONE snapshot is published, so concurrent readers observe the
-// whole batch or none of it.
+// With durability on, the intent and its resolution go to the WAL
+// before the batch is acknowledged (durable.go). On full success the
+// batch is applied to the integrated view in order and ONE snapshot is
+// published, so concurrent readers observe the whole batch or none of
+// it.
 //
 // The context is checked between staged operations and once more before
 // the first member commit: cancellation there rolls every member
@@ -87,7 +68,11 @@ func (e *Engine) ShipTxRouted(reg *store.Registry, ops []Mutation) error {
 // has committed, the remaining commits and the view application run to
 // completion regardless of cancellation — aborting midway would strand
 // committed subtransactions outside the view.
-func (e *Engine) ShipTxRoutedContext(ctx context.Context, reg *store.Registry, ops []Mutation) error {
+func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
+	reg := e.stores.Load()
+	if reg == nil {
+		return fmt.Errorf("no store registry bound to the engine (BindStores was never called)")
+	}
 	e.mu.Lock()
 	defer e.ensurePublished()
 	defer e.mu.Unlock()

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -171,7 +172,7 @@ func TestSnapshotDifferentialReference(t *testing.T) {
 // query workload (200 queries), interleaved with mutations so plans are
 // exercised across snapshot generations.
 func TestSnapshotDifferentialRandomized(t *testing.T) {
-	e, _, remote := scaledEngineStores(t, 10)
+	e := scaledEngine(t, 10)
 	rng := rand.New(rand.NewSource(41))
 	classes := []string{"Item", "Proceedings", "Publication", "Monograph"}
 	mkConj := func() string {
@@ -206,7 +207,7 @@ func TestSnapshotDifferentialRandomized(t *testing.T) {
 				"publisher": object.Ref{DB: "Bookseller", OID: 2},
 				"shopprice": object.Real(float64(20 + rng.Intn(40))), "libprice": object.Real(10),
 			}
-			if err := e.ShipInsert(remote, "Item", attrs); err != nil {
+			if err := e.Ship(context.Background(), []Mutation{{Kind: MutInsert, Class: "Item", Attrs: attrs}}); err != nil {
 				t.Fatalf("mutation %d: %v", i, err)
 			}
 		}
@@ -217,7 +218,7 @@ func TestSnapshotDifferentialRandomized(t *testing.T) {
 // of a class republishes its state, so the next identical query replans
 // against the new extent and serves the new answer.
 func TestPlanInvalidationOnMutation(t *testing.T) {
-	e, _, remote := scaledEngineStores(t, 1)
+	e := scaledEngine(t, 1)
 	q := Query{Class: "Item", Where: expr.MustParse("isbn = 'inval-1'")}
 	rows, _, err := e.Run(q)
 	if err != nil {
@@ -226,11 +227,11 @@ func TestPlanInvalidationOnMutation(t *testing.T) {
 	if len(rows) != 0 {
 		t.Fatalf("probe object already present: %v", rows)
 	}
-	if err := e.ShipInsert(remote, "Item", map[string]object.Value{
+	if err := e.Ship(context.Background(), []Mutation{{Kind: MutInsert, Class: "Item", Attrs: map[string]object.Value{
 		"title": object.Str("inval"), "isbn": object.Str("inval-1"),
 		"publisher": object.Ref{DB: "Bookseller", OID: 2},
 		"shopprice": object.Real(30), "libprice": object.Real(10),
-	}); err != nil {
+	}}}); err != nil {
 		t.Fatal(err)
 	}
 	rows, st, err := e.Run(q)

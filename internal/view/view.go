@@ -4,8 +4,9 @@
 // validation of update transactions — rejecting subtransactions that the
 // local transaction managers would certainly refuse, before they are
 // shipped. The full mutation lifecycle (insert, update, delete, mixed
-// batches) is validated with delta-restricted checking and shipped
-// through the Engine's Ship* methods; see mutate.go and DESIGN.md §7.
+// batches) is validated with delta-restricted checking by Validate and
+// shipped across the member stores by Ship — the Engine's whole write
+// API; see mutate.go, route.go and DESIGN.md §7.
 //
 // Queries are served lock-free from immutable snapshots through a
 // cost-gated, plan-cached optimizer (snapshot.go, planner.go,
@@ -74,9 +75,9 @@ type Stats struct {
 // safe for concurrent use. Run is lock-free: it serves from the
 // published snapshot and may run at any time, including concurrently
 // with mutations (readers observe either the pre- or the post-mutation
-// snapshot, never a torn mix). The Validate* methods share a read lock;
-// the Ship* methods take the write lock while mutating the live view,
-// then publish the next snapshot. The UseConstraints/UseIndexes toggles
+// snapshot, never a torn mix). Validate shares a read lock; Ship takes
+// the write lock while mutating the live view, then publishes the next
+// snapshot. The UseConstraints/UseIndexes toggles
 // are plain fields for benchmarking convenience and must not be flipped
 // concurrently with serving.
 type Engine struct {
@@ -88,9 +89,9 @@ type Engine struct {
 	// UseIndexes toggles the indexed+compiled serving fast path: extent
 	// indexes answer sargable conjuncts and the residual predicate is
 	// compiled once per plan. Off, Run scans the snapshot extent with
-	// the tree-walking interpreter and ValidateInsert probes keys with
-	// a full extent copy — the reference semantics the differential
-	// tests compare against.
+	// the tree-walking interpreter and Validate answers insert key
+	// probes by scanning the extent — the reference semantics the
+	// differential tests compare against.
 	UseIndexes bool
 	// CostGate toggles the planner's cost gate on the constraint phase
 	// (planner.go): on, the solver is only consulted when the estimated
@@ -100,8 +101,8 @@ type Engine struct {
 	// small-fixture reproductions and A/B measurements.
 	CostGate bool
 
-	// mu serialises the live view: Validate* and CheckAll hold it for
-	// read, the Ship* methods for write while applying a shipped
+	// mu serialises the live view: Validate and CheckAll hold it for
+	// read, Ship and Reconcile for write while applying a shipped
 	// mutation and staging its publication. Run does NOT take it.
 	mu sync.RWMutex
 
@@ -116,12 +117,12 @@ type Engine struct {
 	// pending is the staged-but-unflushed publication (snapshot.go) and
 	// deep the classes whose version chains hold retired versions. Both
 	// are guarded by mu: written under the write lock, readable under
-	// either half (ValidateInsert checks pending == nil under the read
-	// lock to decide whether the snapshot's key index is current).
+	// either half (Validate checks pending == nil under the read lock to
+	// decide whether the snapshot's key index is current).
 	pending *pendingPub
 	deep    map[string]*classSlot
 
-	// stores is the registry the unified Ship entrypoint routes through
+	// stores is the registry Ship routes through
 	// (route.go). Bound by the federation that owns the engine; nil until
 	// then. An atomic pointer because Attach/Detach rebind it while
 	// concurrent Ship calls read it.
@@ -162,7 +163,7 @@ type Engine struct {
 // object constraints restrict predicates, key constraints gate inserts
 // and updates). Each object constraint carries its attribute footprint
 // and whether it reads class extensions, precomputed once so
-// delta-restricted validation (ValidateUpdate/ValidateTx) can skip the
+// delta-restricted validation (Validate) can skip the
 // constraints a mutation provably cannot violate.
 type classCons struct {
 	object   []expr.Node             // object constraint formulas
@@ -419,158 +420,10 @@ func (r Rejection) Error() string {
 	return fmt.Sprintf("update rejected by global constraint %s: %s", r.Constraint.Expr, r.Detail)
 }
 
-// ValidateInsert checks an intended insert into a global class against
-// the scope-all global object constraints of every class the inserted
-// object would join (the origin class's chain — a Proceedings insert is
-// also an Item and must satisfy Item's constraints), before any
-// subtransaction is sent to a component database. It returns the
-// violated constraints with repair proposals (empty means the insert
-// may proceed to the local managers). With UseIndexes, key uniqueness
-// is answered from the snapshot's composite-key index in O(1) instead
-// of copying and scanning the whole extent per insert.
-func (e *Engine) ValidateInsert(class string, attrs map[string]object.Value) []Rejection {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var out []Rejection
-	obj := expr.MapObject(attrs)
-	env := &expr.Env{
-		Vars:      map[string]expr.Object{"self": obj},
-		SelfAttrs: e.insertSelfAttrs(class, attrs),
-		Consts:    e.res.Conformed.Consts,
-		Ext: func(cls string) []expr.Object {
-			ext := e.res.View.Extent(cls)
-			objs := make([]expr.Object, len(ext))
-			for i, g := range ext {
-				objs[i] = g
-			}
-			return objs
-		},
-		Deref: func(r object.Ref) (expr.Object, bool) { return e.res.View.Deref(r) },
-	}
-	cg := e.consForClasses(e.insertChainClasses(class))
-	for _, oc := range cg.object {
-		ok, err := env.EvalBool(oc.gc.Expr)
-		if err != nil {
-			continue // constraints outside the evaluable fragment are skipped
-		}
-		if !ok {
-			out = append(out, Rejection{
-				Constraint: oc.gc,
-				Detail:     "violated by proposed state",
-				Repairs:    e.proposeConstraintRepairs(oc.gc.Expr, cg.objectExprs, obj, env),
-			})
-		}
-	}
-	// Key constraints: probe the key-uniqueness index of each declaring
-	// class (or, on the reference path, its full extent). The index
-	// probe requires the published snapshot to be current with the live
-	// view; a publication staged by a Ship* call but not yet flushed
-	// (pending != nil — possible because the flush runs after the write
-	// lock is released) falls back to the reference path, which reads
-	// the live extension directly.
-	for _, kc := range cg.keys {
-		violated := false
-		if e.UseIndexes && e.pending == nil {
-			violated = e.keyViolated(kc.class, kc.attrs, obj)
-		} else {
-			ext := []expr.Object{obj}
-			for _, g := range e.res.View.Extent(kc.class) {
-				ext = append(ext, g)
-			}
-			holds, err := expr.EvalKey(ext, kc.attrs)
-			violated = err == nil && !holds
-		}
-		if violated {
-			out = append(out, Rejection{
-				Constraint: kc.gc,
-				Detail:     fmt.Sprintf("duplicate key %v", kc.attrs),
-				Repairs:    keyRepairs(e.findKeyHolderID(kc.class, kc.attrs, obj)),
-			})
-		}
-	}
-	return out
-}
-
-// findKeyHolderID locates the extent member holding the proposed
-// object's key (0 when none — e.g. the extent held a pre-existing
-// duplicate and the probe rejected on that).
-func (e *Engine) findKeyHolderID(class string, attrs []string, obj expr.Object) int {
-	key, ok := expr.KeyString(obj, attrs)
-	if !ok {
-		return 0
-	}
-	for _, g := range e.res.View.Extent(class) {
-		if k, ok := expr.KeyString(g, attrs); ok && k == key {
-			return g.ID
-		}
-	}
-	return 0
-}
-
-// ShipInsert is ShipInsertContext with context.Background(): never
-// cancelled, kept for in-process callers with no deadline to propagate.
-// (Like every pre-unification Ship* name it is a documented wrapper; new
-// code routing mixed batches should prefer the unified Ship.)
-func (e *Engine) ShipInsert(st *store.Store, class string, attrs map[string]object.Value) error {
-	return e.ShipInsertContext(context.Background(), st, class, attrs)
-}
-
-// ShipInsertContext decomposes a validated insert into a component-store
-// insert (into the origin class of the global class) and executes it,
-// reporting whether the local transaction manager accepted it. On
-// success the object is also applied to the integrated view (classified
-// along its origin chain) and the next snapshot is published, so
-// subsequent queries and key-uniqueness checks see it without
-// re-integration. attrs must be in the conformed (global) domain — the
-// domain ValidateInsert evaluates; PropEq value conversion between that
-// domain and an origin class's native one is not applied (matching the
-// component insert, which also receives attrs as given).
-//
-// The context is honoured up to the local commit: cancellation before
-// Commit rolls the component transaction back and leaves the view
-// untouched; once the local manager has committed, application to the
-// view always completes (a half-applied commit would desynchronise the
-// federation).
-func (e *Engine) ShipInsertContext(ctx context.Context, st *store.Store, class string, attrs map[string]object.Value) error {
-	org, ok := e.res.View.Origin[class]
-	if !ok {
-		return fmt.Errorf("no origin class for global class %s: %w", class, ErrUnknownClass)
-	}
-	e.mu.Lock()
-	// LIFO defer order: the lock is released first, THEN the staged
-	// publication is flushed — publications staged by writers that ran
-	// in between coalesce into one version bump (snapshot.go).
-	defer e.ensurePublished()
-	defer e.mu.Unlock()
-	tx := st.Begin()
-	if err := ctx.Err(); err != nil {
-		tx.Rollback()
-		return err
-	}
-	oid, err := tx.Insert(org.Class, attrs)
-	if err != nil {
-		tx.Rollback()
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		tx.Rollback()
-		return err
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	g, err := e.res.View.ApplyInsert(class, attrs, object.Ref{DB: st.Name(), OID: oid})
-	if err != nil {
-		return fmt.Errorf("insert committed locally but not applied to the view: %w", err)
-	}
-	e.stagePublication(classNames(g), []*core.GObj{g}, false)
-	return nil
-}
-
 // Result returns the integration result the engine serves. Mutating the
 // view behind the engine's back bypasses its locking and snapshot
-// publication — treat it as read-only and mutate through the Ship*
-// methods (or, for federation membership changes, through Rebind).
+// publication — treat it as read-only and mutate through Ship (or, for
+// federation membership changes, through Rebind).
 func (e *Engine) Result() *core.Result { return e.res }
 
 // Rebind applies a federation membership change to the result the
@@ -579,7 +432,7 @@ func (e *Engine) Result() *core.Result { return e.res }
 // result's Derivation and constants, and so on — concurrent lock-free
 // readers keep serving the previous snapshot (whose classStates, deref
 // table and checker are self-contained), and every locked path
-// (Validate*, Ship*, CheckAll, the mutex+scan reference) is held off.
+// (Validate, Ship, CheckAll, the mutex+scan reference) is held off.
 // apply returns the classes whose serving state changed and the classes
 // that ceased to exist; Rebind then drops the constraint caches (they
 // rebuild lazily, without solver work), adopts the new derivation's
@@ -590,11 +443,11 @@ func (e *Engine) Result() *core.Result { return e.res }
 // never a torn mix.
 //
 // If apply fails the whole snapshot is republished from the live view —
-// the same conservative fallback the Ship* error paths use.
+// the same conservative fallback the Ship error paths use.
 func (e *Engine) Rebind(apply func() (changed, removed []string, err error)) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Drain any publication staged by an unflushed Ship* call before the
+	// Drain any publication staged by an unflushed Ship call before the
 	// membership mutation: the carry-over below copies each untouched
 	// class's CURRENT serving state into the fresh slot map.
 	e.flushLocked()
@@ -614,7 +467,7 @@ func (e *Engine) Rebind(apply func() (changed, removed []string, err error)) err
 	return nil
 }
 
-// ReadLocked runs fn under the engine's read lock, holding off Ship*
+// ReadLocked runs fn under the engine's read lock, holding off Ship
 // mutations and membership changes for its duration. Use it to read the
 // live view consistently (e.g. rendering a report) while the engine is
 // serving traffic.

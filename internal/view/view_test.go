@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,25 +9,12 @@ import (
 	"interopdb/internal/expr"
 	"interopdb/internal/fixture"
 	"interopdb/internal/object"
+	"interopdb/internal/store"
 	"interopdb/internal/tm"
 )
 
-// fig1Engine builds the engine over the repaired (conflict-free)
-// integration specification: with the original r5 the engine rightly
-// withholds the Proceedings constraints (unresolved strict-similarity
-// conflict), so the optimiser has nothing to work with — the design loop
-// of the paper repairs the spec first, then queries.
-func fig1Engine(t testing.TB) *Engine {
-	local, remote := fixture.Figure1Stores(fixture.Options{})
-	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
-	if err != nil {
-		t.Fatalf("Integrate: %v", err)
-	}
-	return New(res)
-}
-
 func TestQueryBasic(t *testing.T) {
-	e := fig1Engine(t)
+	e := scaledEngine(t, 0)
 	rows, stats, err := e.Run(Query{Class: "Proceedings"})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +36,7 @@ func TestQueryBasic(t *testing.T) {
 }
 
 func TestQueryPredicate(t *testing.T) {
-	e := fig1Engine(t)
+	e := scaledEngine(t, 0)
 	rows, _, err := e.Run(Query{
 		Class:  "Proceedings",
 		Where:  expr.MustParse("rating >= 7"),
@@ -75,7 +63,7 @@ func TestQueryPredicate(t *testing.T) {
 // be empty from the derived global constraints is eliminated without
 // scanning.
 func TestQueryPrunedEmpty(t *testing.T) {
-	e := fig1Engine(t)
+	e := scaledEngine(t, 0)
 	// The Figure 1 demo extent is tiny, so the cost gate would (rightly)
 	// judge the solver not worth it; disable it to pin the paper's
 	// unconditioned pruning behaviour.
@@ -108,7 +96,7 @@ func TestQueryPrunedEmpty(t *testing.T) {
 }
 
 func TestQueryDropsImpliedConjuncts(t *testing.T) {
-	e := fig1Engine(t)
+	e := scaledEngine(t, 0)
 	e.CostGate = false // tiny demo extent: pin unconditioned dropping
 	// key isbn propagates; rating bound for ACM comes from the derived
 	// constraint. "publisher.name='IEEE' implies ref?=true" is objective,
@@ -127,7 +115,15 @@ func TestQueryDropsImpliedConjuncts(t *testing.T) {
 }
 
 func TestValidateInsert(t *testing.T) {
-	e := fig1Engine(t)
+	e := scaledEngine(t, 0)
+	validateInsert := func(class string, attrs map[string]object.Value) []Rejection {
+		t.Helper()
+		rejs, _, err := e.Validate(context.Background(), []Mutation{{Kind: MutInsert, Class: class, Attrs: attrs}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rejs
+	}
 	// Violates the objective oc1: IEEE but not refereed.
 	bad := map[string]object.Value{
 		"title": object.Str("Bad"), "isbn": object.Str("new-1"),
@@ -135,7 +131,7 @@ func TestValidateInsert(t *testing.T) {
 		"shopprice": object.Real(10), "libprice": object.Real(5),
 		"ref?": object.Bool(false), "rating": object.Int(5),
 	}
-	rejs := e.ValidateInsert("Proceedings", bad)
+	rejs := validateInsert("Proceedings", bad)
 	if len(rejs) == 0 {
 		t.Fatal("doomed insert should be rejected before shipping")
 	}
@@ -147,7 +143,7 @@ func TestValidateInsert(t *testing.T) {
 		"title": object.Str("Dup"), "isbn": object.Str("vldb96"),
 		"shopprice": object.Real(10), "libprice": object.Real(5),
 	}
-	rejs = e.ValidateInsert("Item", dup)
+	rejs = validateInsert("Item", dup)
 	found := false
 	for _, r := range rejs {
 		if strings.Contains(r.Detail, "duplicate key") {
@@ -164,7 +160,7 @@ func TestValidateInsert(t *testing.T) {
 		"shopprice": object.Real(10), "libprice": object.Real(5),
 		"ref?": object.Bool(true), "rating": object.Int(8),
 	}
-	if rejs := e.ValidateInsert("Proceedings", good); len(rejs) != 0 {
+	if rejs := validateInsert("Proceedings", good); len(rejs) != 0 {
 		t.Fatalf("valid insert rejected: %v", rejs)
 	}
 }
@@ -179,6 +175,14 @@ func TestValidationPredictsLocalRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(res)
+	reg := store.NewRegistry()
+	for _, st := range []*store.Store{local, remote} {
+		if err := reg.Add(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.BindStores(reg)
+	ctx := context.Background()
 	cases := []map[string]object.Value{
 		{ // violates oc2 (refereed, rating 5)
 			"title": object.Str("A"), "isbn": object.Str("n1"),
@@ -201,9 +205,13 @@ func TestValidationPredictsLocalRejection(t *testing.T) {
 		},
 	}
 	for i, attrs := range cases {
-		rejected := len(e.ValidateInsert("Proceedings", attrs)) > 0
-		err := e.ShipInsert(remote, "Proceedings", attrs)
-		if rejected && err == nil {
+		ops := []Mutation{{Kind: MutInsert, Class: "Proceedings", Attrs: attrs}}
+		rejs, _, err := e.Validate(ctx, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = e.Ship(ctx, ops)
+		if len(rejs) > 0 && err == nil {
 			t.Errorf("case %d: validator rejected but local manager accepted", i)
 		}
 		// The converse may differ for subjective constraints (case 2):
@@ -213,7 +221,7 @@ func TestValidationPredictsLocalRejection(t *testing.T) {
 }
 
 func TestClassesListing(t *testing.T) {
-	e := fig1Engine(t)
+	e := scaledEngine(t, 0)
 	cs := e.Classes()
 	want := map[string]bool{"Publication": true, "Item": true, "Proceedings": true, "VirtPublisher": true}
 	got := map[string]bool{}
@@ -228,7 +236,7 @@ func TestClassesListing(t *testing.T) {
 }
 
 func TestQueryErrorPropagates(t *testing.T) {
-	e := fig1Engine(t)
+	e := scaledEngine(t, 0)
 	_, _, err := e.Run(Query{Class: "Proceedings", Where: expr.MustParse("title + 1 = 2")})
 	if err == nil {
 		t.Error("ill-typed predicate should error")

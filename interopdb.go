@@ -313,9 +313,9 @@ type Rejection = view.Rejection
 type Rejections = view.Rejections
 
 // Typed failure sentinels for the serving API (errors.Is). The engine's
-// context-aware entrypoints — RunContext, Validate, Ship and the
-// *Context variants of the legacy names — wrap their failures so
-// transport layers map them to responses without string matching.
+// context-aware entrypoints — RunContext, Validate and Ship — wrap their
+// failures so transport layers map them to responses without string
+// matching.
 var (
 	// ErrRejected marks mutations refused by the derived global
 	// constraints.
@@ -380,8 +380,7 @@ const (
 
 // Mutation is one staged operation of a batch transaction against the
 // integrated view, validated by Engine.Validate and shipped by
-// Engine.Ship (the ValidateTx/ShipTx/ShipTxRouted names remain as
-// wrappers).
+// Engine.Ship — the engine's whole write API.
 type Mutation = view.Mutation
 
 // MutationKind discriminates Mutation operations.

@@ -1,6 +1,7 @@
 package interopdb
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -174,12 +175,9 @@ func TestPublicAPIConflictConstants(t *testing.T) {
 // delta-restricted validation with repairs, batched shipping, and the
 // updated view being served.
 func TestPublicAPIMutationLifecycle(t *testing.T) {
-	local, remote := Figure1Stores(FixtureOptions{})
-	res, err := Integrate(Figure1Library(), Figure1Bookseller(), Figure1IntegrationRepaired(), local, remote, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewQueryEngine(res)
+	fed := buildFigure1Federation(t, 0, false)
+	res, e := fed.Result(), fed.Engine()
+	ctx := context.Background()
 
 	// Find the IEEE-published VLDB proceedings.
 	var id int
@@ -193,7 +191,8 @@ func TestPublicAPIMutationLifecycle(t *testing.T) {
 	}
 
 	// A doomed update is rejected with a repair proposal.
-	rejs, stats, err := e.ValidateUpdate("Proceedings", id, map[string]Value{"ref?": Bool(false)})
+	rejs, stats, err := e.Validate(ctx, []Mutation{{Kind: MutUpdate, Class: "Proceedings", ID: id,
+		Attrs: map[string]Value{"ref?": Bool(false)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +203,14 @@ func TestPublicAPIMutationLifecycle(t *testing.T) {
 		t.Error("validation did no work")
 	}
 
-	// A clean batch ships and is served.
-	err = e.ShipTx(remote, []Mutation{
+	// A clean batch ships across both members and is served.
+	err = e.Ship(ctx, []Mutation{
 		{Kind: MutInsert, Class: "Item", Attrs: map[string]Value{
 			"title": Str("API batch"), "isbn": Str("api-batch-1"),
 			"publisher": Ref{DB: "Bookseller", OID: 3},
 			"shopprice": Real(20), "libprice": Real(15),
 		}},
-		{Kind: MutUpdate, Class: "Proceedings", ID: id, Attrs: map[string]Value{"rating": Int(9)}},
+		{Kind: MutUpdate, Class: "Proceedings", ID: id, Attrs: map[string]Value{"title": Str("VLDB 96 (API batch)")}},
 	})
 	if err != nil {
 		t.Fatal(err)
