@@ -52,13 +52,14 @@ crashtest:
 	$(GO) test -race -count=1 -run 'Durability|WarmStart|CrashRecovery' .
 	$(GO) test -race -count=1 -run 'Durable' ./internal/server/
 
-# Short-budget native fuzzing of the query parser, the wire codec and
-# the WAL decoder, as in CI. Finds are written to testdata/fuzz —
-# commit them.
+# Short-budget native fuzzing of the query parser, the wire codec, the
+# WAL decoder and the checkpoint decoder, as in CI. Finds are written
+# to testdata/fuzz — commit them.
 fuzz:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=20s -run='^$$' ./internal/view/
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=20s -run='^$$' ./internal/server/
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=20s -run='^$$' ./internal/store/
+	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=20s -run='^$$' ./internal/store/
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=20s -run='^$$' ./internal/wire/
 
 # Full benchmark run (slow).

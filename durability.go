@@ -2,7 +2,6 @@ package interopdb
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -236,8 +235,9 @@ func (d *Durability) Finish(ctx context.Context, f *Federation) (RecoveryInfo, e
 // entailment memo, derived constraint set, plan shapes — and drops the
 // WAL prefix it makes redundant. The capture runs under the engine's
 // read lock, which excludes Ship commits, so the extents and the log
-// cut are one consistent state; the file writes happen after the lock
-// is released.
+// cut are one consistent state: it encodes the member stores in place,
+// straight into the checkpoint's temporary file. The fsync and the
+// rename happen after the lock is released.
 func (d *Durability) Checkpoint(f *Federation) error {
 	f.mu.Lock()
 	engine := f.engine
@@ -249,18 +249,19 @@ func (d *Durability) Checkpoint(f *Federation) error {
 		return fmt.Errorf("durability: checkpoint: federation is not integrated")
 	}
 
-	ck := &store.Checkpoint{Derived: map[string]json.RawMessage{}}
+	cw, err := store.CreateCheckpoint(filepath.Join(d.dir, checkpointFileName))
+	if err != nil {
+		return fmt.Errorf("durability: %w", err)
+	}
+	stores := make([]*store.Store, len(members))
+	for i, m := range members {
+		stores[i] = m.Store
+	}
+	var lsn uint64
 	var capErr error
 	engine.ReadLocked(func() {
-		ck.LSN = d.wal.LastLSN()
-		for _, m := range members {
-			mc, err := store.SnapshotStore(m.Store)
-			if err != nil {
-				capErr = fmt.Errorf("durability: checkpoint %s: %w", m.Name, err)
-				return
-			}
-			ck.Members = append(ck.Members, mc)
-		}
+		lsn = d.wal.LastLSN()
+		derived := make(map[string][]byte, 3)
 		sections := []struct {
 			name   string
 			export func() ([]byte, error)
@@ -275,17 +276,18 @@ func (d *Durability) Checkpoint(f *Federation) error {
 				capErr = fmt.Errorf("durability: checkpoint %s: %w", s.name, err)
 				return
 			}
-			ck.Derived[s.name] = b
+			derived[s.name] = b
 		}
+		capErr = cw.Capture(lsn, stores, derived)
 	})
 	if capErr != nil {
+		cw.Abort()
 		return capErr
 	}
-
-	if err := store.WriteCheckpoint(filepath.Join(d.dir, checkpointFileName), ck); err != nil {
+	if err := cw.Commit(); err != nil {
 		return fmt.Errorf("durability: %w", err)
 	}
-	if err := d.wal.TruncateThrough(ck.LSN); err != nil {
+	if err := d.wal.TruncateThrough(lsn); err != nil {
 		return fmt.Errorf("durability: %w", err)
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"interopdb/internal/store"
@@ -339,7 +340,9 @@ func TestCrashRecoveryDiskFaults(t *testing.T) {
 			dir := t.TempDir()
 			fed1, dur1, _ := bootFigure1Durable(t, dir, DurabilityOptions{})
 			shipWorkload(t, fed1)
-			ackedState := memberSnapshots(t, fed1, false)
+			// The acknowledged state without the OID cursor: the failed
+			// batch burned OIDs the replay never allocates.
+			ackedState := memberSnapshots(t, fed1, true)
 
 			// Re-arm the SAME directory with a fault scheduled a few
 			// appends out, then write until the log seals.
@@ -354,7 +357,7 @@ func TestCrashRecoveryDiskFaults(t *testing.T) {
 					failedAt = i
 					break
 				}
-				ackedState = memberSnapshots(t, fed2, false)
+				ackedState = memberSnapshots(t, fed2, true)
 			}
 			if failedAt < 0 {
 				t.Fatal("scheduled disk fault never surfaced as a ship failure")
@@ -371,17 +374,7 @@ func TestCrashRecoveryDiskFaults(t *testing.T) {
 			defer dur3.Close()
 			// Acknowledged batches survive; the failed batch does not.
 			got := memberSnapshots(t, fed3, true)
-			wantAcked := map[string]string{}
-			for name, s := range ackedState {
-				var mc store.MemberCheckpoint
-				if err := json.Unmarshal([]byte(s), &mc); err != nil {
-					t.Fatal(err)
-				}
-				mc.NextOID = 0
-				b, _ := json.Marshal(mc)
-				wantAcked[name] = string(b)
-			}
-			if !reflect.DeepEqual(got, wantAcked) {
+			if !reflect.DeepEqual(got, ackedState) {
 				t.Fatalf("recovered state diverges from acknowledged prefix (replay %+v)", info.Replay)
 			}
 			rows, _, err := fed3.Engine().Run(Query{Class: "Record", Where: MustParseExpr(fmt.Sprintf("isbn = 'wal%d'", failedAt))})
@@ -480,6 +473,24 @@ func TestDurabilityDamagedCheckpoint(t *testing.T) {
 		t.Fatal("OpenDurability accepted a damaged checkpoint")
 	} else if errors.Is(err, store.ErrNoCheckpoint) {
 		t.Fatal("damage misreported as missing checkpoint")
+	}
+}
+
+// TestDurabilityRefusesOldFormat pins the format bump at the boot
+// entry point: a data directory written with the JSON-bodied formats is
+// refused by OpenDurability with an error naming the format.
+func TestDurabilityRefusesOldFormat(t *testing.T) {
+	for _, c := range []struct{ file, magic string }{
+		{checkpointFileName, "IDBCKPT1"},
+		{walFileName, "IDBWAL01"},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(dir+"/"+c.file, []byte(c.magic+"{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenDurability(dir, DurabilityOptions{}); err == nil || !strings.Contains(err.Error(), c.magic) {
+			t.Fatalf("%s in format %s: err = %v, want a refusal naming the format", c.file, c.magic, err)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -1935,33 +1934,34 @@ func b13Boot(dir string, scale int, sync store.SyncPolicy) (*b13Node, error) {
 // checkpoint snapshots the node (extents + memo + derivation + plans)
 // under the engine's read lock and drops the redundant WAL prefix.
 func (n *b13Node) checkpoint(memo *logic.Memo) error {
-	ck := &store.Checkpoint{Derived: map[string]json.RawMessage{}}
-	var capErr error
-	n.eng.ReadLocked(func() {
-		ck.LSN = n.wal.LastLSN()
-		for _, s := range n.members {
-			mc, err := store.SnapshotStore(s)
-			if err != nil {
-				capErr = err
-				return
-			}
-			ck.Members = append(ck.Members, mc)
-		}
-		if ck.Derived["memo"], capErr = memo.Export(); capErr != nil {
-			return
-		}
-		if ck.Derived["derivation"], capErr = core.ExportDerivation(n.res.Derivation); capErr != nil {
-			return
-		}
-		ck.Derived["plans"], capErr = n.eng.ExportPlans()
-	})
-	if capErr != nil {
-		return capErr
-	}
-	if err := store.WriteCheckpoint(filepath.Join(n.dir, "checkpoint.db"), ck); err != nil {
+	cw, err := store.CreateCheckpoint(filepath.Join(n.dir, "checkpoint.db"))
+	if err != nil {
 		return err
 	}
-	return n.wal.TruncateThrough(ck.LSN)
+	var lsn uint64
+	var capErr error
+	n.eng.ReadLocked(func() {
+		lsn = n.wal.LastLSN()
+		derived := map[string][]byte{}
+		if derived["memo"], capErr = memo.Export(); capErr != nil {
+			return
+		}
+		if derived["derivation"], capErr = core.ExportDerivation(n.res.Derivation); capErr != nil {
+			return
+		}
+		if derived["plans"], capErr = n.eng.ExportPlans(); capErr != nil {
+			return
+		}
+		capErr = cw.Capture(lsn, n.members, derived)
+	})
+	if capErr != nil {
+		cw.Abort()
+		return capErr
+	}
+	if err := cw.Commit(); err != nil {
+		return err
+	}
+	return n.wal.TruncateThrough(lsn)
 }
 
 // B13 measures durability on the scaled Figure 1 fixture. The ship

@@ -22,12 +22,19 @@ type Options struct {
 	// SIGMOD proceedings, and the bookseller-only workshop notes — each
 	// under unique ISBNs/titles. Extents (and the number of merged
 	// global objects) grow linearly while every integrity constraint
-	// keeps holding; benchmarks and the parallel differential tests use
-	// it to grow the Figure 1 workload without switching to the
-	// synthetic generator. Zero means the paper's original instances
-	// only.
+	// keeps holding up to MaxScale; benchmarks and the parallel
+	// differential tests use it to grow the Figure 1 workload without
+	// switching to the synthetic generator. Zero means the paper's
+	// original instances only.
 	Scale int
 }
+
+// MaxScale is the largest Options.Scale Figure1Stores accepts. CSLibrary's
+// Publication.cc2 keeps the sum of ourprice below MAX = 100000; the
+// original instances sum to 285 (311 with PriceConflict) and each scale
+// step adds 140, so Scale 712 sums to 99965 (99991) and Scale 713 would
+// break the constraint.
+const MaxScale = 712
 
 // Figure1Stores builds the CSLibrary and Bookseller stores with the
 // paper's running instances:
@@ -40,7 +47,13 @@ type Options struct {
 //   - A non-refereed workshop proceedings exercises rule r4.
 //   - A monograph and several library-only publications fill out the
 //     extensions.
+//
+// It panics, like MustInsert, when opt.Scale exceeds MaxScale: the
+// instances would violate the library's own constraints.
 func Figure1Stores(opt Options) (local, remote *store.Store) {
+	if opt.Scale > MaxScale {
+		panic(fmt.Sprintf("fixture: Figure1Stores scale %d exceeds MaxScale %d (CSLibrary Publication.cc2 would fail)", opt.Scale, MaxScale))
+	}
 	lib := tm.Figure1Library()
 	bs := tm.Figure1Bookseller()
 	local = store.New(lib.Schema, lib.Consts)

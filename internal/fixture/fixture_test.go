@@ -119,3 +119,23 @@ func TestPersonnelStores(t *testing.T) {
 		}
 	}
 }
+
+// TestFigure1StoresMaxScale pins the documented bound: at MaxScale both
+// stores are clean, and one step past it Figure1Stores refuses rather
+// than hand out a library that violates Publication.cc2.
+func TestFigure1StoresMaxScale(t *testing.T) {
+	for _, opt := range []fixture.Options{{Scale: fixture.MaxScale}, {Scale: fixture.MaxScale, PriceConflict: true}} {
+		local, remote := fixture.Figure1Stores(opt)
+		for _, s := range []*store.Store{local, remote} {
+			if v := s.CheckAll(); len(v) != 0 {
+				t.Fatalf("%+v: %s violates constraints: %v", opt, s.Name(), v)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Figure1Stores accepted a scale past MaxScale")
+		}
+	}()
+	fixture.Figure1Stores(fixture.Options{Scale: fixture.MaxScale + 1})
+}

@@ -6,8 +6,10 @@ import (
 	"sort"
 )
 
-// Structural JSON codec for values, used by the durability layer
-// (checkpoint snapshots, WAL record bodies, persisted derivations).
+// Structural JSON codec for values, used where a value sits inside a
+// larger JSON document: the persisted derivation's expression literals
+// (internal/expr/encode.go). The write-ahead log and the checkpoint use
+// the binary codec in codec.go.
 //
 // The TM literal syntax that String() renders is NOT round-trippable —
 // Int(30) and Real(30.0) can render to forms a reparse cannot tell
@@ -155,40 +157,6 @@ func UnmarshalValue(data []byte) (Value, error) {
 		return nil, fmt.Errorf("object: %w", err)
 	}
 	return fromJSONValue(j)
-}
-
-// MarshalAttrs encodes an attribute map with MarshalValue per value.
-// The raw messages are suitable for embedding in larger JSON documents
-// (WAL records, checkpoint objects).
-func MarshalAttrs(attrs map[string]Value) (map[string]json.RawMessage, error) {
-	if attrs == nil {
-		return nil, nil
-	}
-	out := make(map[string]json.RawMessage, len(attrs))
-	for k, v := range attrs {
-		b, err := MarshalValue(v)
-		if err != nil {
-			return nil, fmt.Errorf("attr %s: %w", k, err)
-		}
-		out[k] = b
-	}
-	return out, nil
-}
-
-// UnmarshalAttrs decodes an attribute map encoded by MarshalAttrs.
-func UnmarshalAttrs(raw map[string]json.RawMessage) (map[string]Value, error) {
-	if raw == nil {
-		return nil, nil
-	}
-	out := make(map[string]Value, len(raw))
-	for k, b := range raw {
-		v, err := UnmarshalValue(b)
-		if err != nil {
-			return nil, fmt.Errorf("attr %s: %w", k, err)
-		}
-		out[k] = v
-	}
-	return out, nil
 }
 
 // AttrsEqual reports whether two attribute maps hold the same keys with

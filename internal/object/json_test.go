@@ -1,7 +1,6 @@
 package object
 
 import (
-	"encoding/json"
 	"testing"
 )
 
@@ -108,48 +107,6 @@ func TestValueJSONStrict(t *testing.T) {
 		if v, err := UnmarshalValue([]byte(s)); err == nil {
 			t.Errorf("UnmarshalValue(%q) = %s, want error", s, v)
 		}
-	}
-}
-
-func TestMarshalAttrsRoundTrip(t *testing.T) {
-	attrs := map[string]Value{
-		"title":   Str("DB Interop"),
-		"price":   Real(49.5),
-		"count":   Int(3),
-		"in":      Bool(true),
-		"pub":     Ref{DB: "db2", OID: 12},
-		"tags":    NewSet(Str("x"), Str("y")),
-		"complex": NewTuple(map[string]Value{"k": Null{}}),
-	}
-	raw, err := MarshalAttrs(attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The raw form must embed cleanly in a larger document.
-	doc, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back map[string]json.RawMessage
-	if err := json.Unmarshal(doc, &back); err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalAttrs(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !AttrsEqual(attrs, got) {
-		t.Fatalf("attrs changed: %v -> %v", attrs, got)
-	}
-	if !AttrsEqual(got, attrs) {
-		t.Fatalf("AttrsEqual not symmetric")
-	}
-
-	if m, err := MarshalAttrs(nil); err != nil || m != nil {
-		t.Fatalf("MarshalAttrs(nil) = %v, %v", m, err)
-	}
-	if a, err := UnmarshalAttrs(nil); err != nil || a != nil {
-		t.Fatalf("UnmarshalAttrs(nil) = %v, %v", a, err)
 	}
 }
 

@@ -8,8 +8,10 @@
 package object
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -216,7 +218,7 @@ func NewSet(elems ...Value) Set {
 			out = append(out, e)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return totalLess(out[i], out[j]) })
+	slices.SortStableFunc(out, canonCompare)
 	return Set{elems: out}
 }
 
@@ -242,17 +244,72 @@ func groupRank(v Value) int {
 	}
 }
 
-// totalLess is a total strict order over all values: by kind bucket first,
-// then by Compare, then by rendered form as a last resort.
-func totalLess(a, b Value) bool {
+// canonCompare is the canonical total order of set elements: NewSet
+// sorts by it and the binary decoder holds decoded sets to it. Values
+// order by kind bucket first, then as Compare orders them, and every
+// remaining tie is broken so that only values with identical encodings
+// compare 0: two Ints that round to the same float64 by their exact
+// value, Int before an equal Real, Reals by their IEEE bits (so -0.0
+// and the NaN payloads are ordered; NaN sorts before every number),
+// sets elementwise in this order, tuples by rendering then by fields.
+func canonCompare(a, b Value) int {
 	ra, rb := groupRank(a), groupRank(b)
 	if ra != rb {
-		return ra < rb
+		return cmp.Compare(ra, rb)
+	}
+	switch a := a.(type) {
+	case Int, Real:
+		return numCompare(a, b)
+	case Set:
+		if s, ok := b.(Set); ok {
+			for i := 0; i < len(a.elems) && i < len(s.elems); i++ {
+				if c := canonCompare(a.elems[i], s.elems[i]); c != 0 {
+					return c
+				}
+			}
+			return cmp.Compare(len(a.elems), len(s.elems))
+		}
+	case Tuple:
+		if t, ok := b.(Tuple); ok {
+			if c := strings.Compare(a.String(), t.String()); c != 0 {
+				return c
+			}
+			for i := 0; i < len(a.names) && i < len(t.names); i++ {
+				if c := strings.Compare(a.names[i], t.names[i]); c != 0 {
+					return c
+				}
+				if c := canonCompare(a.vals[a.names[i]], t.vals[t.names[i]]); c != 0 {
+					return c
+				}
+			}
+			return cmp.Compare(len(a.names), len(t.names))
+		}
 	}
 	if c, ok := Compare(a, b); ok {
-		return c < 0
+		return c // Null, Str, Bool and Ref compare exactly
 	}
-	return a.String() < b.String()
+	return strings.Compare(a.String(), b.String())
+}
+
+// numCompare is canonCompare on two numeric values.
+func numCompare(a, b Value) int {
+	x, _ := AsFloat(a)
+	y, _ := AsFloat(b)
+	if c := cmp.Compare(x, y); c != 0 {
+		return c
+	}
+	ai, aInt := a.(Int)
+	bi, bInt := b.(Int)
+	switch {
+	case aInt && bInt:
+		return cmp.Compare(ai, bi)
+	case aInt != bInt:
+		if aInt {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(math.Float64bits(x), math.Float64bits(y))
 }
 
 // Kind implements Value.

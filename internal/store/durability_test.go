@@ -1,6 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,6 +68,22 @@ func assertStoresIdentical(t *testing.T, want, got *Store) {
 	}
 }
 
+// writeCheckpoint captures the stores into a checkpoint at path.
+func writeCheckpoint(t *testing.T, path string, lsn uint64, stores ...*Store) {
+	t.Helper()
+	w, err := CreateCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Capture(lsn, stores, nil); err != nil {
+		w.Abort()
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	s := newBookseller(t)
 	pub := seedPublisher(t, s, "ACM")
@@ -80,16 +100,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// ahead of the live population.
 	s.nextOID += 5
 
-	mc, err := SnapshotStore(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := &Checkpoint{LSN: 42, Members: []MemberCheckpoint{mc}}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "checkpoint.db")
-	if err := WriteCheckpoint(path, ck); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "checkpoint.db")
+	writeCheckpoint(t, path, 42, s)
 	got, err := ReadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -114,15 +126,34 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointObjectJSONExact pins the snapshot's JSON form, which
+// recovery digests compare: deterministic, and exact down to the value
+// kind (Int 30 and Real 30 are Equal but must not digest alike).
+func TestCheckpointObjectJSONExact(t *testing.T) {
+	obj := func(v object.Value) string {
+		b, err := json.Marshal(CheckpointObject{OID: 1, Attrs: map[string]object.Value{
+			"v": v, "tags": object.NewSet(object.Str("a"), object.Str("b")), "n": object.Null{},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if obj(object.Int(30)) != obj(object.Int(30)) {
+		t.Fatal("snapshot JSON is not deterministic")
+	}
+	if obj(object.Int(30)) == obj(object.Real(30)) {
+		t.Fatal("snapshot JSON does not tell Int 30 from Real 30")
+	}
+}
+
 func TestCheckpointMissingAndDamaged(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint.db")
 	if _, err := ReadCheckpoint(path); err != ErrNoCheckpoint {
 		t.Fatalf("missing checkpoint: err = %v", err)
 	}
-	if err := WriteCheckpoint(path, &Checkpoint{LSN: 1}); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, path, 1)
 	b, _ := os.ReadFile(path)
 	b[len(b)-1] ^= 0xFF
 	if err := os.WriteFile(path, b, 0o644); err != nil {
@@ -227,14 +258,8 @@ func TestDurableCheckpointPlusTail(t *testing.T) {
 	oids := runWorkload(t, b)
 
 	// Checkpoint, then truncate the covered prefix.
-	mc, err := SnapshotStore(live)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ckptLSN := w.LastLSN()
-	if err := WriteCheckpoint(ckptPath, &Checkpoint{LSN: ckptLSN, Members: []MemberCheckpoint{mc}}); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, ckptPath, ckptLSN, live)
 	if err := w.TruncateThrough(ckptLSN); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +321,7 @@ func TestReplaySkipsCoveredRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := &Checkpoint{Version: checkpointVersion, LSN: w.LastLSN(), Members: []MemberCheckpoint{mc}}
+	ckpt := &Checkpoint{LSN: w.LastLSN(), Members: []MemberCheckpoint{mc}}
 	w.Close()
 
 	// The full log is still on disk — BuildRecovery must shed it all.
@@ -322,33 +347,27 @@ func TestReplaySkipsCoveredRecords(t *testing.T) {
 // mustEncode wraps the record encoders for hand-built WAL tails.
 func mustEncode(t *testing.T, v any) []byte {
 	t.Helper()
-	var b []byte
-	var err error
 	switch r := v.(type) {
 	case CommitRecord:
-		b, err = EncodeCommitRecord(r)
+		return EncodeCommitRecord(r)
 	case IntentRecord:
-		b, err = EncodeIntentRecord(r)
+		b, err := EncodeIntentRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	case ResolveRecord:
-		b, err = EncodeResolveRecord(r)
-	default:
-		t.Fatalf("mustEncode: %T", v)
+		return EncodeResolveRecord(r)
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	t.Fatalf("mustEncode: %T", v)
+	return nil
 }
 
 func thingOp(t *testing.T, oid uint64, v int64) WALOp {
 	t.Helper()
-	op, err := NewWALOp(OpInsert, "Thing", object.OID(oid), map[string]object.Value{
+	return WALOp{Kind: OpInsert, Class: "Thing", OID: oid, Attrs: map[string]object.Value{
 		"v": object.Int(v), "tag": object.Str("x"),
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return op
+	}}
 }
 
 // TestReplayUnresolvedIntents covers the cross-member atomicity
@@ -587,4 +606,107 @@ func TestDurableLogApplied(t *testing.T) {
 	if len(recs) != 1 || recs[0].Kind != WALCommit {
 		t.Fatalf("log records %v, want exactly one commit", recs)
 	}
+}
+
+// TestSetTiesSurviveWALAndCheckpoint writes sets whose elements tie
+// under Compare — two Ints that round to one float64, NaNs — through
+// the durable write path, and requires the WAL records, a replay and a
+// checkpoint to carry them back unchanged. A set NewSet builds that the
+// binary decoder refused would leave the member unable to boot.
+func TestSetTiesSurviveWALAndCheckpoint(t *testing.T) {
+	newStore := func() *Store {
+		d := schema.NewDatabase("M1")
+		if err := d.AddClass(&schema.Class{Name: "Thing", Attrs: []schema.Attribute{
+			{Name: "ints", Type: object.SetType{Elem: object.TInt}},
+			{Name: "reals", Type: object.SetType{Elem: object.TReal}},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return New(d, nil)
+	}
+	nan := object.Real(math.NaN())
+	attrs := []map[string]object.Value{
+		{"ints": object.NewSet(object.Int(1<<53+1), object.Int(1<<53)),
+			"reals": object.NewSet(nan, object.Real(1), nan)},
+		{"ints": object.NewSet(object.Int(1<<53+2), object.Int(-1), object.Int(1<<53)),
+			"reals": object.NewSet(object.Real(math.Copysign(0, -1)), nan)},
+	}
+	encAttrs := func(s *Store) [][]byte {
+		var out [][]byte
+		for _, o := range s.DirectExtent("Thing") {
+			out = append(out, object.AppendAttrs(binary.AppendUvarint(nil, uint64(o.OID())), o.Attrs()))
+		}
+		return out
+	}
+	requireSame := func(what string, got, want *Store) {
+		t.Helper()
+		g, w := encAttrs(got), encAttrs(want)
+		if len(g) != len(w) {
+			t.Fatalf("%s: %d objects, want %d", what, len(g), len(w))
+		}
+		for i := range w {
+			if !bytes.Equal(g[i], w[i]) {
+				t.Fatalf("%s: object %d differs", what, i)
+			}
+		}
+	}
+
+	// The record codecs on their own.
+	op := WALOp{Kind: OpInsert, Class: "Thing", OID: 1, Attrs: attrs[0], Prev: attrs[1]}
+	body := EncodeCommitRecord(CommitRecord{Member: "M1", Batch: 1, Ops: []WALOp{op}})
+	rec, err := DecodeCommitRecord(body)
+	if err != nil {
+		t.Fatalf("commit record with tied set elements refused: %v", err)
+	}
+	if !bytes.Equal(EncodeCommitRecord(rec), body) {
+		t.Fatal("commit record re-encodes differently")
+	}
+	body = mustEncode(t, IntentRecord{Members: []string{"M1"}, Effects: map[string][]WALOp{"M1": {op}}})
+	if _, err := DecodeIntentRecord(body); err != nil {
+		t.Fatalf("intent record with tied set elements refused: %v", err)
+	}
+
+	// The durable write path, replay and checkpoint.
+	dir := t.TempDir()
+	walPath, ckptPath := filepath.Join(dir, "wal.log"), filepath.Join(dir, "checkpoint.db")
+	w, _, err := OpenWAL(walPath, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := newStore()
+	b := NewDurableSet(w).Wrap(live)
+	for _, a := range attrs {
+		tx := b.Begin()
+		if _, err := tx.Insert("Thing", a); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeCheckpoint(t, ckptPath, w.LastLSN(), live)
+	w.Close()
+
+	_, recs, err := OpenWAL(walPath, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromLog := newStore()
+	if _, err := BuildRecovery(nil, recs, nil).Replay(map[string]*Store{"M1": fromLog}); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	requireSame("replayed log", fromLog, live)
+
+	ckpt, err := ReadCheckpoint(ckptPath)
+	if err != nil {
+		t.Fatalf("read checkpoint: %v", err)
+	}
+	fromCkpt := newStore()
+	if _, err := BuildRecovery(ckpt, recs, nil).Replay(map[string]*Store{"M1": fromCkpt}); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	requireSame("restored checkpoint", fromCkpt, live)
 }

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"fmt"
+	"encoding/binary"
 
 	"interopdb/internal/object"
 )
@@ -54,11 +54,7 @@ func (d *DurableSet) AppendIntent(members []string, effects map[string][]WALOp) 
 // but are safe to ignore: an unresolved intent is re-settled by
 // recovery from the member commit records, idempotently.
 func (d *DurableSet) AppendResolve(batch uint64, outcome string) error {
-	body, err := EncodeResolveRecord(ResolveRecord{Batch: batch, Outcome: outcome})
-	if err != nil {
-		return err
-	}
-	_, err = d.wal.Append(WALResolve, body)
+	_, err := d.wal.Append(WALResolve, EncodeResolveRecord(ResolveRecord{Batch: batch, Outcome: outcome}))
 	return err
 }
 
@@ -118,13 +114,25 @@ func (d *Durable) Begin() Txn {
 
 // durableTxn stages through the inner transaction while recording the
 // forward ops (with prior values captured from committed state, for
-// verification and inversion) to log at commit.
+// verification and inversion) to log at commit. Each op is encoded as
+// it is staged, so the record holds the values as they were handed in,
+// and Commit only prepends the record header.
 type durableTxn struct {
 	d     *Durable
 	inner Txn
-	ops   []WALOp
+	ops   []byte // encoded ops, appendWALOp form
 	batch uint64
 	done  bool
+}
+
+// record appends one staged op to the pending commit record.
+func (t *durableTxn) record(op WALOp) { t.ops = appendWALOp(t.ops, op) }
+
+// commitBody builds the commit record body for the staged ops.
+func (t *durableTxn) commitBody() []byte {
+	name := t.d.inner.Name()
+	body := make([]byte, 0, len(name)+2*binary.MaxVarintLen64+len(t.ops))
+	return append(appendCommitHeader(body, name, t.batch), t.ops...)
 }
 
 // TagBatch implements BatchTagger.
@@ -136,11 +144,7 @@ func (t *durableTxn) Insert(class string, attrs map[string]object.Value) (object
 	if err != nil {
 		return 0, err
 	}
-	op, err := NewWALOp(OpInsert, class, oid, attrs, nil)
-	if err != nil {
-		return 0, fmt.Errorf("wal: record insert: %w", err)
-	}
-	t.ops = append(t.ops, op)
+	t.record(WALOp{Kind: OpInsert, Class: class, OID: uint64(oid), Attrs: attrs})
 	return oid, nil
 }
 
@@ -149,11 +153,7 @@ func (t *durableTxn) InsertAt(oid object.OID, class string, attrs map[string]obj
 	if err := t.inner.InsertAt(oid, class, attrs); err != nil {
 		return err
 	}
-	op, err := NewWALOp(OpInsert, class, oid, attrs, nil)
-	if err != nil {
-		return fmt.Errorf("wal: record insert: %w", err)
-	}
-	t.ops = append(t.ops, op)
+	t.record(WALOp{Kind: OpInsert, Class: class, OID: uint64(oid), Attrs: attrs})
 	return nil
 }
 
@@ -172,11 +172,7 @@ func (t *durableTxn) Update(oid object.OID, attrs map[string]object.Value) error
 	if err := t.inner.Update(oid, attrs); err != nil {
 		return err
 	}
-	op, err := NewWALOp(OpUpdate, "", oid, attrs, prev)
-	if err != nil {
-		return fmt.Errorf("wal: record update: %w", err)
-	}
-	t.ops = append(t.ops, op)
+	t.record(WALOp{Kind: OpUpdate, OID: uint64(oid), Attrs: attrs, Prev: prev})
 	return nil
 }
 
@@ -191,11 +187,7 @@ func (t *durableTxn) Delete(oid object.OID) error {
 	if err := t.inner.Delete(oid); err != nil {
 		return err
 	}
-	op, err := NewWALOp(OpDelete, class, oid, nil, prev)
-	if err != nil {
-		return fmt.Errorf("wal: record delete: %w", err)
-	}
-	t.ops = append(t.ops, op)
+	t.record(WALOp{Kind: OpDelete, Class: class, OID: uint64(oid), Prev: prev})
 	return nil
 }
 
@@ -218,10 +210,7 @@ func (t *durableTxn) Commit() error {
 		t.done = true
 		return nil
 	}
-	body, err := EncodeCommitRecord(CommitRecord{Member: t.d.inner.Name(), Batch: t.batch, Ops: t.ops})
-	if err != nil {
-		return fmt.Errorf("wal: encode commit record: %w", err)
-	}
+	body := t.commitBody()
 	// done flips only once the record is durably appended: a failure
 	// here leaves it false, so the fault machinery's LogApplied knows
 	// the member's applied change still has no record and cannot let
@@ -244,11 +233,7 @@ func (t *durableTxn) LogApplied() error {
 	if len(t.ops) == 0 {
 		return nil
 	}
-	body, err := EncodeCommitRecord(CommitRecord{Member: t.d.inner.Name(), Batch: t.batch, Ops: t.ops})
-	if err != nil {
-		return fmt.Errorf("wal: encode commit record: %w", err)
-	}
-	_, err = t.d.set.wal.Append(WALCommit, body)
+	_, err := t.d.set.wal.Append(WALCommit, t.commitBody())
 	return err
 }
 

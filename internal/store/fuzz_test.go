@@ -2,14 +2,19 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+
+	"interopdb/internal/object"
 )
 
 // FuzzWALDecode holds the WAL decoders to the recovery contract on
 // arbitrary bytes: never panic, never claim more valid prefix than
 // verifies, and for every frame the scan accepts, the body decoder must
 // be panic-free too. Seeds cover each record kind, the empty log, torn
-// tails and flipped bytes; the corpus under testdata/fuzz extends them.
+// tails and flipped bytes; the corpus under testdata/fuzz extends them
+// (its IDBWAL01 entries are logs of the earlier JSON-bodied format,
+// which the scan must refuse cleanly).
 func FuzzWALDecode(f *testing.F) {
 	frame := func(kind byte, lsn uint64, body []byte) []byte {
 		return encodeWALFrame(kind, lsn, body)
@@ -21,9 +26,16 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		return b
 	}
-	commit := []byte(`{"m":"db1","b":1,"ops":[{"k":1,"c":"Item","o":3,"a":{"title":{"t":"str","s":"x"}}}]}`)
-	intent := []byte(`{"ms":["db1","db2"],"eff":{"db1":[{"k":3,"c":"Item","o":2}]}}`)
-	resolve := []byte(`{"b":1,"out":"committed"}`)
+	commit := EncodeCommitRecord(CommitRecord{Member: "db1", Batch: 1, Ops: []WALOp{
+		{Kind: OpInsert, Class: "Item", OID: 3, Attrs: map[string]object.Value{"title": object.Str("x")}},
+	}})
+	intent, err := EncodeIntentRecord(IntentRecord{Members: []string{"db1", "db2"}, Effects: map[string][]WALOp{
+		"db1": {{Kind: OpDelete, Class: "Item", OID: 2}},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	resolve := EncodeResolveRecord(ResolveRecord{Batch: 1, Outcome: ResolveCommitted})
 
 	f.Add([]byte{})
 	f.Add([]byte(walMagic))
@@ -64,6 +76,65 @@ func FuzzWALDecode(f *testing.F) {
 		recs2, valid2, damage2 := ScanWAL(data[:valid])
 		if damage2 != nil || valid2 != valid || len(recs2) != len(recs) {
 			t.Fatalf("valid prefix does not rescan clean: %v", damage2)
+		}
+	})
+}
+
+// fuzzCheckpointBody is a real small checkpoint body: a Bookseller
+// member holding a publisher and a monograph (sets, refs, reals), plus
+// two derived sections.
+func fuzzCheckpointBody(tb testing.TB) []byte {
+	s := newBookseller(tb)
+	pub := seedPublisher(tb, s, "ACM")
+	s.Enforce = false
+	s.MustInsert("Monograph", map[string]object.Value{
+		"title": object.Str("TM"), "isbn": object.Str("tm-1"),
+		"publisher": object.Ref{DB: s.Name(), OID: pub},
+		"authors":   object.NewSet(object.Str("Balsters"), object.Str("de By")),
+		"shopprice": object.Real(30), "libprice": object.Real(25),
+	})
+	var buf bytes.Buffer
+	c := &Checkpoint{LSN: 7, Members: []MemberCheckpoint{s.liveSnapshot()}, Derived: map[string][]byte{
+		"memo": []byte(`{"v":1}`), "plans": []byte("[]"),
+	}}
+	if err := encodeCheckpointBody(&buf, c); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzCheckpointDecode holds the checkpoint decoder to the boot
+// contract on arbitrary bytes: a checkpoint or an error, never a panic
+// and never an allocation a hostile count drives past the input's own
+// size, and every accepted body re-encodes byte-identically. The file
+// parser (magic, checksum) runs on the same bytes. Seeds: a real small
+// body, and truncated, bit-flipped and hostile-count variants of it;
+// the corpus under testdata/fuzz extends them.
+func FuzzCheckpointDecode(f *testing.F) {
+	body := fuzzCheckpointBody(f)
+	f.Add(body)
+	f.Add(body[:len(body)/2])
+	flipped := append([]byte{}, body...)
+	flipped[len(flipped)/3] ^= 0x10
+	f.Add(flipped)
+	hostile := binary.AppendUvarint([]byte{7}, 1<<40) // lsn 7, 2^40 members
+	f.Add(append(hostile, body[2:]...))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if c, err := parseCheckpoint(data); err == nil && c == nil {
+			t.Fatal("parseCheckpoint returned neither checkpoint nor error")
+		}
+		c, err := decodeCheckpointBody(data)
+		if err != nil {
+			return
+		}
+		var re bytes.Buffer
+		if err := encodeCheckpointBody(&re, c); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re.Bytes(), data) {
+			t.Fatalf("accepted body re-encodes differently:\n in  %x\n out %x", data, re.Bytes())
 		}
 	})
 }

@@ -192,11 +192,7 @@ func (rs *RecoveredState) Replay(stores map[string]*Store) (ReplayStats, error) 
 				if !ok {
 					return stats, fmt.Errorf("recover: intent LSN %d names unknown member %s", st.lsn, m)
 				}
-				applied, err := walOpsApplied(s, ops)
-				if err != nil {
-					return stats, fmt.Errorf("recover: intent LSN %d on %s: %w", st.lsn, m, err)
-				}
-				if !applied {
+				if !walOpsApplied(s, ops) {
 					continue
 				}
 				inv := inverseWALOps(ops)
@@ -234,11 +230,7 @@ func (rs *RecoveredState) Replay(stores map[string]*Store) (ReplayStats, error) 
 			if !ok {
 				return stats, fmt.Errorf("recover: intent LSN %d names unknown member %s", st.lsn, m)
 			}
-			applied, err := walOpsApplied(s, ops)
-			if err != nil {
-				return stats, fmt.Errorf("recover: intent LSN %d on %s: %w", st.lsn, m, err)
-			}
-			if applied {
+			if walOpsApplied(s, ops) {
 				continue
 			}
 			if err := applyWALOps(s, ops); err != nil {
@@ -258,10 +250,7 @@ func applyWALOps(s *Store, ops []WALOp) error {
 	s.Enforce = false
 	defer func() { s.Enforce = enforce }()
 	for i, op := range ops {
-		attrs, err := op.DecodedAttrs()
-		if err != nil {
-			return fmt.Errorf("op %d: %w", i, err)
-		}
+		attrs := op.Attrs
 		oid := object.OID(op.OID)
 		switch op.Kind {
 		case OpInsert:
@@ -315,37 +304,33 @@ func inverseWALOps(ops []WALOp) []WALOp {
 // oracle: member commits are atomic, so the recorded effects are either
 // all present or all absent. An empty list proves nothing and reports
 // false.
-func walOpsApplied(s *Store, ops []WALOp) (bool, error) {
+func walOpsApplied(s *Store, ops []WALOp) bool {
 	if len(ops) == 0 {
-		return false, nil
+		return false
 	}
 	for _, op := range ops {
 		oid := object.OID(op.OID)
 		switch op.Kind {
 		case OpInsert:
 			if _, ok := s.Get(oid); !ok {
-				return false, nil
+				return false
 			}
 		case OpUpdate:
 			o, ok := s.Get(oid)
 			if !ok {
-				return false, nil
+				return false
 			}
-			attrs, err := op.DecodedAttrs()
-			if err != nil {
-				return false, err
-			}
-			for k, v := range attrs {
+			for k, v := range op.Attrs {
 				got, ok := o.Get(k)
 				if !ok || !got.Equal(v) {
-					return false, nil
+					return false
 				}
 			}
 		case OpDelete:
 			if _, ok := s.Get(oid); ok {
-				return false, nil
+				return false
 			}
 		}
 	}
-	return true, nil
+	return true
 }

@@ -103,6 +103,10 @@ type Store struct {
 	objs    map[object.OID]*Obj
 	byClass map[string][]object.OID // direct (most-specific) instances, in insertion order
 	nextOID object.OID
+	// attrTypes maps class → attribute (own or inherited) → declared
+	// type, built once from the schema, which a store treats as
+	// immutable.
+	attrTypes map[string]map[string]object.Type
 	// Enforce controls whether mutations validate constraints
 	// immediately. Transactions always validate at commit.
 	Enforce bool
@@ -116,13 +120,23 @@ func New(db *schema.Database, consts map[string]object.Value) *Store {
 	for k, v := range consts {
 		cc[k] = v
 	}
+	attrTypes := make(map[string]map[string]object.Type)
+	for _, c := range db.Classes() {
+		attrs := db.AllAttrs(c.Name)
+		types := make(map[string]object.Type, len(attrs))
+		for _, a := range attrs {
+			types[a.Name] = a.Type.(object.Type)
+		}
+		attrTypes[c.Name] = types
+	}
 	return &Store{
-		db:      db,
-		consts:  cc,
-		objs:    make(map[object.OID]*Obj),
-		byClass: make(map[string][]object.OID),
-		nextOID: 1,
-		Enforce: true,
+		db:        db,
+		consts:    cc,
+		objs:      make(map[object.OID]*Obj),
+		byClass:   make(map[string][]object.OID),
+		nextOID:   1,
+		attrTypes: attrTypes,
+		Enforce:   true,
 	}
 }
 
@@ -169,17 +183,15 @@ func (s *Store) DirectExtent(class string) []*Obj {
 // validateAttrs checks that every provided attribute is declared on the
 // class (own or inherited) and type-correct.
 func (s *Store) validateAttrs(class string, attrs map[string]object.Value) error {
-	c, ok := s.db.Class(class)
+	types, ok := s.attrTypes[class]
 	if !ok {
 		return fmt.Errorf("store %s: unknown class %s", s.Name(), class)
 	}
-	_ = c
 	for name, v := range attrs {
-		a, _, ok := s.db.ResolveAttr(class, name)
+		t, ok := types[name]
 		if !ok {
 			return fmt.Errorf("store %s: class %s has no attribute %q", s.Name(), class, name)
 		}
-		t := a.Type.(object.Type)
 		if v.Kind() == object.KindNull {
 			continue
 		}
@@ -273,35 +285,56 @@ func (s *Store) Update(oid object.OID, attrs map[string]object.Value) error {
 	return nil
 }
 
-// Delete removes an object.
+// Delete removes an object. With Enforce on, the class constraints of
+// the object's class chain (an aggregate such as ScientificPubl.cc1 can
+// flip when a member leaves the extension) and the database constraints
+// are re-checked; a violation puts the object back where it was.
 func (s *Store) Delete(oid object.OID) error {
 	o, ok := s.objs[oid]
 	if !ok {
 		return fmt.Errorf("store %s: no object %s", s.Name(), oid)
 	}
-	s.removeObj(oid)
+	pos := s.removeObj(oid)
 	if s.Enforce {
-		// Deletions can violate database constraints (e.g. Figure 1 db1:
-		// every Publisher has an Item); re-check and restore on failure.
-		if vs := s.checkDatabaseConstraints(); len(vs) > 0 {
-			s.objs[oid] = o
-			s.byClass[o.class] = append(s.byClass[o.class], oid)
+		var vs []Violation
+		for _, cn := range s.db.Supers(o.class) {
+			vs = append(vs, s.checkClassConstraints(cn)...)
+		}
+		// Deletions can also violate database constraints (e.g. Figure 1
+		// db1: every Publisher has an Item).
+		vs = append(vs, s.checkDatabaseConstraints()...)
+		if len(vs) > 0 {
+			s.restoreObj(o, pos)
 			return &ViolationError{vs}
 		}
 	}
 	return nil
 }
 
-func (s *Store) removeObj(oid object.OID) {
+// removeObj unlinks an object and returns its position in its class's
+// insertion order, for restoreObj.
+func (s *Store) removeObj(oid object.OID) int {
 	o := s.objs[oid]
 	delete(s.objs, oid)
 	lst := s.byClass[o.class]
 	for i, x := range lst {
 		if x == oid {
 			s.byClass[o.class] = append(lst[:i], lst[i+1:]...)
-			break
+			return i
 		}
 	}
+	return len(lst)
+}
+
+// restoreObj undoes removeObj: the object goes back at its former
+// position, so a rolled-back delete leaves the extent order — which
+// queries, snapshots and recovery digests observe — unchanged.
+func (s *Store) restoreObj(o *Obj, pos int) {
+	lst := append(s.byClass[o.class], 0)
+	copy(lst[pos+1:], lst[pos:])
+	lst[pos] = o.oid
+	s.byClass[o.class] = lst
+	s.objs[o.oid] = o
 }
 
 // Env builds an evaluation environment with self bound to the given

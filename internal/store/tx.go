@@ -202,14 +202,8 @@ func (t *Tx) Commit() error {
 			if !ok {
 				return fail(fmt.Errorf("store %s: no object %s at commit", s.Name(), op.oid))
 			}
-			saved := o
-			if err := s.Delete(op.oid); err != nil {
-				return fail(err)
-			}
-			undos = append(undos, func() {
-				s.objs[saved.oid] = saved
-				s.byClass[saved.class] = append(s.byClass[saved.class], saved.oid)
-			})
+			pos := s.removeObj(op.oid)
+			undos = append(undos, func() { s.restoreObj(o, pos) })
 		}
 	}
 

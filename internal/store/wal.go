@@ -18,9 +18,13 @@ import (
 //
 // File layout:
 //
-//	[8B magic "IDBWAL01"]
+//	[8B magic "IDBWAL02"]
 //	repeated frames: [4B payload len LE][4B CRC32C(payload) LE][payload]
 //	payload: [1B record kind][8B LSN LE][body]
+//
+// The magic's trailing digits are the format version: version 2 bodies
+// use the binary value codec (walrecord.go). A log in another version
+// is refused at open by name, never misread or truncated.
 //
 // The CRC covers the whole payload (kind, LSN and body), so a torn or
 // bit-flipped tail is detected, never replayed. Recovery cuts the log
@@ -35,7 +39,10 @@ import (
 // prefix they cover.
 
 const (
-	walMagic = "IDBWAL01"
+	walMagic = "IDBWAL02"
+	// walFamily prefixes every log format's magic, so a log of another
+	// version is named in the refusal.
+	walFamily = "IDBWAL"
 	// walHeaderSize is the fixed file header length.
 	walHeaderSize = len(walMagic)
 	// walFrameOverhead is the per-record framing cost (length + CRC).
@@ -191,7 +198,11 @@ func ScanWAL(b []byte) (recs []WALRecord, valid int64, damage *TailDamage) {
 		return nil, 0, nil
 	}
 	if len(b) < walHeaderSize || string(b[:walHeaderSize]) != walMagic {
-		return nil, 0, &TailDamage{Offset: 0, Reason: "bad file header", LostBytes: int64(len(b))}
+		reason := "bad file header"
+		if len(b) >= walHeaderSize && string(b[:len(walFamily)]) == walFamily {
+			reason = fmt.Sprintf("log format %q is not readable by this build, which reads only %q", b[:walHeaderSize], walMagic)
+		}
+		return nil, 0, &TailDamage{Offset: 0, Reason: reason, LostBytes: int64(len(b))}
 	}
 	off := int64(walHeaderSize)
 	for off < int64(len(b)) {
@@ -225,9 +236,9 @@ func OpenWAL(path string, opts WALOptions) (*WAL, []WALRecord, error) {
 	}
 	recs, valid, damage := ScanWAL(img)
 	if damage != nil && damage.Offset == 0 && len(img) > 0 {
-		// Not a WAL at all — refuse rather than truncate someone
-		// else's file to nothing.
-		return nil, nil, fmt.Errorf("wal: %s is not a write-ahead log: %s", path, damage.Reason)
+		// Not a WAL at all, or a log in another format version —
+		// refuse rather than truncate it to nothing.
+		return nil, nil, fmt.Errorf("wal: refusing %s: %s", path, damage.Reason)
 	}
 
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)

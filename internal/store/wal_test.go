@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"interopdb/internal/object"
@@ -304,15 +305,9 @@ func TestWALSealsOnWriteFailure(t *testing.T) {
 
 func TestWALRecordBodies(t *testing.T) {
 	attrs := map[string]object.Value{"title": object.Str("x"), "price": object.Real(9.5)}
-	op, err := NewWALOp(OpInsert, "Item", 3, attrs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	op := WALOp{Kind: OpInsert, Class: "Item", OID: 3, Attrs: attrs}
 	cr := CommitRecord{Member: "db1", Batch: 7, Ops: []WALOp{op}}
-	b, err := EncodeCommitRecord(cr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := EncodeCommitRecord(cr)
 	got, err := DecodeCommitRecord(b)
 	if err != nil {
 		t.Fatal(err)
@@ -320,11 +315,7 @@ func TestWALRecordBodies(t *testing.T) {
 	if got.Member != "db1" || got.Batch != 7 || len(got.Ops) != 1 {
 		t.Fatalf("commit round trip: %+v", got)
 	}
-	da, err := got.Ops[0].DecodedAttrs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !object.AttrsEqual(da, attrs) {
+	if da := got.Ops[0].Attrs; !object.AttrsEqual(da, attrs) || da["price"].Kind() != object.KindReal {
 		t.Fatalf("op attrs changed: %v", da)
 	}
 
@@ -333,38 +324,74 @@ func TestWALRecordBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeIntentRecord(ib); err != nil {
-		t.Fatal(err)
+	if gi, err := DecodeIntentRecord(ib); err != nil || len(gi.Members) != 2 || len(gi.Effects["db1"]) != 1 || gi.Effects["db2"] != nil {
+		t.Fatalf("intent round trip: %+v, %v", gi, err)
+	}
+	if _, err := EncodeIntentRecord(IntentRecord{Members: []string{"db1"}, Effects: map[string][]WALOp{"db9": {op}}}); err == nil {
+		t.Fatal("intent with effects for an unlisted member encoded")
 	}
 
 	rr := ResolveRecord{Batch: 9, Outcome: ResolveCommitted}
-	rb, err := EncodeResolveRecord(rr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeResolveRecord(rb); err != nil {
-		t.Fatal(err)
+	if got, err := DecodeResolveRecord(EncodeResolveRecord(rr)); err != nil || got != rr {
+		t.Fatalf("resolve round trip: %+v, %v", got, err)
 	}
 
+	commit := func(ops ...WALOp) string { return string(EncodeCommitRecord(CommitRecord{Member: "db1", Ops: ops})) }
+	intent := func(r IntentRecord) string {
+		b, err := EncodeIntentRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
 	bad := []struct {
 		kind byte
 		body string
 	}{
 		{WALCommit, ``},
-		{WALCommit, `{}`},
-		{WALCommit, `{"m":"db1","ops":[{"k":9,"o":1}]}`},
-		{WALCommit, `{"m":"db1","ops":[{"k":1,"o":0,"c":"X"}]}`},
-		{WALCommit, `{"m":"db1","ops":[{"k":1,"o":1}]}`},
-		{WALCommit, `{"m":"db1","ops":[{"k":2,"o":1}]}`},
-		{WALIntent, `{"ms":["a","a"]}`},
-		{WALIntent, `{"ms":["a"],"eff":{"b":[]}}`},
-		{WALResolve, `{"b":0,"out":"committed"}`},
-		{WALResolve, `{"b":1,"out":"exploded"}`},
-		{99, `{}`},
+		{WALCommit, string(EncodeCommitRecord(CommitRecord{}))},
+		{WALCommit, commit(WALOp{Kind: 9, OID: 1})},
+		{WALCommit, commit(WALOp{Kind: OpInsert, OID: 0, Class: "X"})},
+		{WALCommit, commit(WALOp{Kind: OpInsert, OID: 1})},
+		{WALCommit, commit(WALOp{Kind: OpUpdate, OID: 1})},
+		{WALCommit, commit(op)[:len(commit(op))-1]},
+		{WALIntent, intent(IntentRecord{Members: []string{"a", "a"}})},
+		{WALIntent, intent(IntentRecord{Members: []string{""}})},
+		{WALIntent, intent(IntentRecord{Members: []string{"a"}}) + "x"},
+		{WALResolve, string(EncodeResolveRecord(ResolveRecord{Batch: 0, Outcome: ResolveCommitted}))},
+		{WALResolve, string(EncodeResolveRecord(ResolveRecord{Batch: 1, Outcome: "exploded"}))},
+		{99, ``},
 	}
 	for _, c := range bad {
 		if _, err := DecodeWALBody(c.kind, []byte(c.body)); err == nil {
 			t.Errorf("DecodeWALBody(%d, %q) accepted", c.kind, c.body)
 		}
+	}
+}
+
+// TestOldFormatsRefusedByName pins the format bump: a data directory
+// written in the JSON-bodied formats (log IDBWAL01, checkpoint
+// IDBCKPT1) is refused at open with an error naming its format — never
+// misread, and the log never truncated.
+func TestOldFormatsRefusedByName(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "wal.log")
+	oldWAL := append([]byte("IDBWAL01"), encodeWALFrame(WALCommit, 1, []byte(`{"m":"db1","ops":[]}`))...)
+	if err := os.WriteFile(walPath, oldWAL, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenWAL(walPath, WALOptions{}); err == nil || !strings.Contains(err.Error(), `"IDBWAL01"`) {
+		t.Fatalf("old log: err = %v, want a refusal naming IDBWAL01", err)
+	}
+	if b, _ := os.ReadFile(walPath); !bytes.Equal(b, oldWAL) {
+		t.Fatal("refused log was modified")
+	}
+
+	ckPath := filepath.Join(dir, "checkpoint.db")
+	if err := os.WriteFile(ckPath, []byte("IDBCKPT1\x02\x00\x00\x00\x00\x00\x00\x00{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadCheckpoint(ckPath); err == nil || err == ErrNoCheckpoint || !strings.Contains(err.Error(), `"IDBCKPT1"`) {
+		t.Fatalf("old checkpoint: err = %v, want a refusal naming IDBCKPT1", err)
 	}
 }

@@ -42,11 +42,7 @@ func effectsToWALOps(effs []memberEffect) ([]store.WALOp, error) {
 		default:
 			return nil, fmt.Errorf("wal: unknown effect kind %d", int(ef.Kind))
 		}
-		op, err := store.NewWALOp(kind, ef.Class, ef.OID, ef.Attrs, ef.Prev)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, op)
+		ops = append(ops, store.WALOp{Kind: kind, Class: ef.Class, OID: uint64(ef.OID), Attrs: ef.Attrs, Prev: ef.Prev})
 	}
 	return ops, nil
 }

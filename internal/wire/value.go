@@ -3,220 +3,18 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"interopdb/internal/object"
 	"interopdb/internal/view"
 )
 
-// The binary value codec. Like the HTTP transport's tagged-JSON codec
-// (server/codec.go) it must carry the view's full value model — Int vs
-// Real distinguished, references and sets first-class — but unlike it,
-// encoding is append-style into caller-owned buffers: one kind-tag
-// byte plus a fixed- or varint-sized payload per value, no maps, no
-// reflection, no intermediate allocations. Decoding is strict: an
-// unknown tag or a truncated payload is an error, never a silent Null.
-//
-// Value layout (tag byte first):
-//
-//	null  [1]
-//	int   [2][uvarint zig-zag]
-//	real  [3][8B IEEE-754 LE]
-//	str   [4][uvarint len][bytes]
-//	bool  [5][1B]
-//	ref   [6][str db][uvarint oid]
-//	set   [7][uvarint n][values...]
-//	tuple [8][uvarint n][(str name, value)...]
-//
-// Strings are uvarint-length-prefixed byte runs; integers are zig-zag
-// varints so small negatives stay small on the wire.
+// Row, mutation and stats bodies of the binary protocol. Values inside
+// them use the binary value codec in internal/object (object.AppendValue
+// / object.DecodeValue), the same codec the write-ahead log and the
+// checkpoint use.
 
-// Value tags. The set mirrors object.Kind exactly.
-const (
-	tagNull byte = 1 + iota
-	tagInt
-	tagReal
-	tagStr
-	tagBool
-	tagRef
-	tagSet
-	tagTuple
-)
-
-// errTruncated marks a body that ended mid-value.
-var errTruncated = fmt.Errorf("wire: truncated value")
-
-// AppendString appends a uvarint-length-prefixed string.
-func AppendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// DecodeString decodes a string, returning it and the bytes consumed.
-func DecodeString(b []byte) (string, int, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 {
-		return "", 0, errTruncated
-	}
-	if n > uint64(len(b)-k) {
-		return "", 0, errTruncated
-	}
-	return string(b[k : k+int(n)]), k + int(n), nil
-}
-
-// AppendValue appends the binary form of v — allocation-free when dst
-// has capacity (the zero-allocation value tagging the hot path relies
-// on; pinned by TestAppendValueAllocs).
-func AppendValue(dst []byte, v object.Value) []byte {
-	switch v := v.(type) {
-	case object.Int:
-		dst = append(dst, tagInt)
-		return binary.AppendVarint(dst, int64(v))
-	case object.Real:
-		dst = append(dst, tagReal)
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(float64(v)))
-	case object.Str:
-		dst = append(dst, tagStr)
-		return AppendString(dst, string(v))
-	case object.Bool:
-		if v {
-			return append(dst, tagBool, 1)
-		}
-		return append(dst, tagBool, 0)
-	case object.Ref:
-		dst = append(dst, tagRef)
-		dst = AppendString(dst, v.DB)
-		return binary.AppendUvarint(dst, uint64(v.OID))
-	case object.Set:
-		dst = append(dst, tagSet)
-		elems := v.Elems()
-		dst = binary.AppendUvarint(dst, uint64(len(elems)))
-		for _, e := range elems {
-			dst = AppendValue(dst, e)
-		}
-		return dst
-	case object.Tuple:
-		dst = append(dst, tagTuple)
-		names := v.Names()
-		dst = binary.AppendUvarint(dst, uint64(len(names)))
-		for _, n := range names {
-			dst = AppendString(dst, n)
-			dst = AppendValue(dst, v.Field(n))
-		}
-		return dst
-	case object.Null, nil:
-		return append(dst, tagNull)
-	default:
-		// Unreachable for the value model's closed kind set; encode the
-		// rendering so the peer sees something diagnosable.
-		dst = append(dst, tagStr)
-		return AppendString(dst, v.String())
-	}
-}
-
-// DecodeValue decodes one value, returning it and the bytes consumed.
-func DecodeValue(b []byte) (object.Value, int, error) {
-	if len(b) == 0 {
-		return nil, 0, errTruncated
-	}
-	tag, b2 := b[0], b[1:]
-	switch tag {
-	case tagNull:
-		return object.Null{}, 1, nil
-	case tagInt:
-		n, k := binary.Varint(b2)
-		if k <= 0 {
-			return nil, 0, errTruncated
-		}
-		return object.Int(n), 1 + k, nil
-	case tagReal:
-		if len(b2) < 8 {
-			return nil, 0, errTruncated
-		}
-		return object.Real(math.Float64frombits(binary.LittleEndian.Uint64(b2))), 9, nil
-	case tagStr:
-		s, k, err := DecodeString(b2)
-		if err != nil {
-			return nil, 0, err
-		}
-		return object.Str(s), 1 + k, nil
-	case tagBool:
-		if len(b2) < 1 {
-			return nil, 0, errTruncated
-		}
-		switch b2[0] {
-		case 0:
-			return object.Bool(false), 2, nil
-		case 1:
-			return object.Bool(true), 2, nil
-		default:
-			return nil, 0, fmt.Errorf("wire: bool payload %d", b2[0])
-		}
-	case tagRef:
-		db, k, err := DecodeString(b2)
-		if err != nil {
-			return nil, 0, err
-		}
-		oid, k2 := binary.Uvarint(b2[k:])
-		if k2 <= 0 {
-			return nil, 0, errTruncated
-		}
-		return object.Ref{DB: db, OID: object.OID(oid)}, 1 + k + k2, nil
-	case tagSet:
-		n, k, err := decodeCount(b2)
-		if err != nil {
-			return nil, 0, err
-		}
-		off := k
-		elems := make([]object.Value, n)
-		for i := range elems {
-			v, k2, err := DecodeValue(b2[off:])
-			if err != nil {
-				return nil, 0, fmt.Errorf("wire: set elem %d: %w", i, err)
-			}
-			elems[i] = v
-			off += k2
-		}
-		return object.NewSet(elems...), 1 + off, nil
-	case tagTuple:
-		n, k, err := decodeCount(b2)
-		if err != nil {
-			return nil, 0, err
-		}
-		off := k
-		fields := make(map[string]object.Value, n)
-		for i := 0; i < n; i++ {
-			name, k2, err := DecodeString(b2[off:])
-			if err != nil {
-				return nil, 0, fmt.Errorf("wire: tuple field %d: %w", i, err)
-			}
-			off += k2
-			v, k3, err := DecodeValue(b2[off:])
-			if err != nil {
-				return nil, 0, fmt.Errorf("wire: tuple field %q: %w", name, err)
-			}
-			fields[name] = v
-			off += k3
-		}
-		return object.NewTuple(fields), 1 + off, nil
-	default:
-		return nil, 0, fmt.Errorf("wire: unknown value tag %d", tag)
-	}
-}
-
-// decodeCount decodes a collection length and bounds it by the bytes
-// remaining, so a hostile count cannot drive a huge allocation: every
-// element needs at least one encoded byte.
-func decodeCount(b []byte) (int, int, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 {
-		return 0, 0, errTruncated
-	}
-	if n > uint64(len(b)-k) {
-		return 0, 0, errTruncated
-	}
-	return int(n), k, nil
-}
+// errTruncated marks a body that ended mid-field.
+var errTruncated = fmt.Errorf("wire: truncated body")
 
 // AppendRow appends one result row: [uvarint ncols][(name, value)...].
 // Column order follows the engine's map iteration — the decoded Row is
@@ -225,27 +23,27 @@ func decodeCount(b []byte) (int, int, error) {
 func AppendRow(dst []byte, r view.Row) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(r)))
 	for k, v := range r {
-		dst = AppendString(dst, k)
-		dst = AppendValue(dst, v)
+		dst = object.AppendString(dst, k)
+		dst = object.AppendValue(dst, v)
 	}
 	return dst
 }
 
 // DecodeRow decodes one row, returning it and the bytes consumed.
 func DecodeRow(b []byte) (view.Row, int, error) {
-	n, k, err := decodeCount(b)
+	n, k, err := object.DecodeCount(b)
 	if err != nil {
 		return nil, 0, err
 	}
 	off := k
 	row := make(view.Row, n)
 	for i := 0; i < n; i++ {
-		name, k2, err := DecodeString(b[off:])
+		name, k2, err := object.DecodeString(b[off:])
 		if err != nil {
 			return nil, 0, fmt.Errorf("wire: row col %d: %w", i, err)
 		}
 		off += k2
-		v, k3, err := DecodeValue(b[off:])
+		v, k3, err := object.DecodeValue(b[off:])
 		if err != nil {
 			return nil, 0, fmt.Errorf("wire: row col %q: %w", name, err)
 		}
@@ -259,12 +57,12 @@ func DecodeRow(b []byte) (view.Row, int, error) {
 // [1B kind][str class][varint id][uvarint nattrs][(name, value)...].
 func AppendMutation(dst []byte, m view.Mutation) []byte {
 	dst = append(dst, byte(m.Kind))
-	dst = AppendString(dst, m.Class)
+	dst = object.AppendString(dst, m.Class)
 	dst = binary.AppendVarint(dst, int64(m.ID))
 	dst = binary.AppendUvarint(dst, uint64(len(m.Attrs)))
 	for k, v := range m.Attrs {
-		dst = AppendString(dst, k)
-		dst = AppendValue(dst, v)
+		dst = object.AppendString(dst, k)
+		dst = object.AppendValue(dst, v)
 	}
 	return dst
 }
@@ -284,7 +82,7 @@ func DecodeMutation(b []byte) (view.Mutation, int, error) {
 	}
 	m.Kind = kind
 	off := 1
-	class, k, err := DecodeString(b[off:])
+	class, k, err := object.DecodeString(b[off:])
 	if err != nil {
 		return m, 0, err
 	}
@@ -296,7 +94,7 @@ func DecodeMutation(b []byte) (view.Mutation, int, error) {
 	}
 	m.ID = int(id)
 	off += k2
-	n, k3, err := decodeCount(b[off:])
+	n, k3, err := object.DecodeCount(b[off:])
 	if err != nil {
 		return m, 0, err
 	}
@@ -305,12 +103,12 @@ func DecodeMutation(b []byte) (view.Mutation, int, error) {
 		m.Attrs = make(map[string]object.Value, n)
 	}
 	for i := 0; i < n; i++ {
-		name, k4, err := DecodeString(b[off:])
+		name, k4, err := object.DecodeString(b[off:])
 		if err != nil {
 			return m, 0, fmt.Errorf("wire: mutation attr %d: %w", i, err)
 		}
 		off += k4
-		v, k5, err := DecodeValue(b[off:])
+		v, k5, err := object.DecodeValue(b[off:])
 		if err != nil {
 			return m, 0, fmt.Errorf("wire: mutation attr %q: %w", name, err)
 		}
@@ -340,7 +138,7 @@ func AppendQueryStats(dst []byte, s view.Stats) []byte {
 	dst = binary.AppendUvarint(dst, uint64(s.CandidateRows))
 	dst = binary.AppendUvarint(dst, uint64(len(s.Degraded)))
 	for _, m := range s.Degraded {
-		dst = AppendString(dst, m)
+		dst = object.AppendString(dst, m)
 	}
 	return dst
 }
@@ -365,13 +163,13 @@ func DecodeQueryStats(b []byte) (view.Stats, int, error) {
 		*dst = int(n)
 		off += k
 	}
-	n, k, err := decodeCount(b[off:])
+	n, k, err := object.DecodeCount(b[off:])
 	if err != nil {
 		return s, 0, err
 	}
 	off += k
 	for i := 0; i < n; i++ {
-		m, k2, err := DecodeString(b[off:])
+		m, k2, err := object.DecodeString(b[off:])
 		if err != nil {
 			return s, 0, err
 		}

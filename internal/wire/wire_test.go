@@ -28,6 +28,20 @@ func sampleTuple() object.Value {
 
 func valueEqual(a, b object.Value) bool { return a.Equal(b) }
 
+// Value tag bytes of the binary value codec (object/codec.go), for
+// hand-built corrupt inputs: values travel inside wire bodies in exactly
+// that encoding.
+const (
+	tagNull byte = 1 + iota
+	tagInt
+	tagReal
+	tagStr
+	tagBool
+	tagRef
+	tagSet
+	tagTuple
+)
+
 func TestValueRoundTrip(t *testing.T) {
 	vals := []object.Value{
 		object.Null{},
@@ -40,8 +54,8 @@ func TestValueRoundTrip(t *testing.T) {
 		sampleTuple(),
 	}
 	for _, v := range vals {
-		enc := AppendValue(nil, v)
-		got, n, err := DecodeValue(enc)
+		enc := object.AppendValue(nil, v)
+		got, n, err := object.DecodeValue(enc)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", v, err)
 		}
@@ -68,7 +82,7 @@ func TestValueDecodeRejectsCorrupt(t *testing.T) {
 		{tagRef, 3, 'd', 'b'}, // ref missing oid
 	}
 	for _, c := range cases {
-		if _, _, err := DecodeValue(c); err == nil {
+		if _, _, err := object.DecodeValue(c); err == nil {
 			t.Errorf("decode(%v) accepted corrupt input", c)
 		}
 	}
