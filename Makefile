@@ -70,6 +70,7 @@ bench:
 # benchmarks, as in CI.
 bench-smoke:
 	$(GO) test -bench=E11 -benchtime=1x -run='^$$' .
+	$(GO) test -bench='FixtureScalePipeline/scale=600' -benchtime=1x -benchmem -run='^$$' .
 	$(GO) test -bench=Serve -benchtime=1x -run='^$$' .
 	$(GO) test -bench=B8 -benchtime=1x -run='^$$' .
 	$(GO) test -bench=B10 -benchtime=1x -run='^$$' .

@@ -163,7 +163,9 @@ func BenchmarkB4_DerivationCost(b *testing.B) {
 }
 
 // Full pipeline over the scaled Figure 1 fixture (fixture.Options.Scale
-// grows extents and merged pairs linearly), sequential vs parallel.
+// grows extents and merged pairs linearly), sequential vs parallel. The
+// scale=600 case is crash_boot's member size, where conform and merge
+// dominate and their allocations show.
 func BenchmarkFixtureScalePipeline(b *testing.B) {
 	for _, mode := range []struct {
 		tag  string
@@ -172,16 +174,19 @@ func BenchmarkFixtureScalePipeline(b *testing.B) {
 		{"seq", core.Options{Parallelism: 1, NoMemo: true}},
 		{"par", core.Options{}},
 	} {
-		b.Run("scale=50/"+mode.tag, func(b *testing.B) {
-			local, remote := fixture.Figure1Stores(fixture.Options{Scale: 50})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.IntegrateOptions(tm.Figure1Library(), tm.Figure1Bookseller(),
-					tm.Figure1Integration(), local, remote, 1, mode.opts); err != nil {
-					b.Fatal(err)
+		for _, scale := range []int{50, 600} {
+			b.Run("scale="+itoa(scale)+"/"+mode.tag, func(b *testing.B) {
+				local, remote := fixture.Figure1Stores(fixture.Options{Scale: scale})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.IntegrateOptions(tm.Figure1Library(), tm.Figure1Bookseller(),
+						tm.Figure1Integration(), local, remote, 1, mode.opts); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -467,8 +467,75 @@ func (c *Conformed) rewriteDescCond(side Side, class string, dr *DescRule) expr.
 	})
 }
 
+// attrConv is one attribute's conformed name and domain conversion, as
+// resolved on a given class.
+type attrConv struct {
+	attr, name string
+	conv       ConvFunc
+}
+
+// attrStep is one visible attribute of a class in a conformation plan.
+// At most one of desc and hidden is set; otherwise the value is renamed
+// and converted by the embedded attrConv.
+type attrStep struct {
+	attrConv
+	// desc is the descriptivity rule describing the attribute: its
+	// value stays a value (value view) or becomes a reference to the
+	// virtual object built from virt.
+	desc *DescRule
+	virt []attrConv
+	// hidden names the referenced class a value view hid; the reference
+	// inlines as a tuple of that class's fields.
+	hidden string
+	fields []attrConv
+}
+
+// convPlan resolves the conformed name and conversion of each attribute
+// as used on the class.
+func (c *Conformed) convPlan(side Side, class string, attrs []string) []attrConv {
+	out := make([]attrConv, len(attrs))
+	for i, a := range attrs {
+		name, conv := c.conformedAttrName(side, class, a)
+		out[i] = attrConv{attr: a, name: name, conv: conv}
+	}
+	return out
+}
+
+// classPlan resolves, once per class, what conformation does with each
+// of the class's visible attributes. Everything it reads — the original
+// schema, the spec and the hidden set — is fixed before the object loop,
+// so every object of the class follows the same plan.
+func (c *Conformed) classPlan(side Side, class string, desc map[string]map[string]*DescRule) []attrStep {
+	origDB := c.Spec.DB(side).Schema
+	attrs := origDB.AllAttrs(class)
+	plan := make([]attrStep, len(attrs))
+	for i, a := range attrs {
+		st := &plan[i]
+		st.attr = a.Name
+		if dr, ok := desc[clsOwning(origDB, class, a.Name)][a.Name]; ok {
+			st.desc = dr
+			if !dr.ValueView {
+				st.virt = c.convPlan(side, class, dr.ValueAttrs)
+			}
+			continue
+		}
+		if ct, ok := a.Type.(object.ClassType); ok && c.Hidden[side][ct.Class] {
+			st.hidden = ct.Class
+			var names []string
+			for _, fa := range origDB.AllAttrs(ct.Class) {
+				names = append(names, fa.Name)
+			}
+			st.fields = c.convPlan(side, ct.Class, names)
+			continue
+		}
+		st.name, st.conv = c.conformedAttrName(side, class, a.Name)
+	}
+	return plan
+}
+
 // conformObjects converts one side's store contents into conformed
-// objects, creating virtual objects for described values.
+// objects, creating virtual objects for described values. Each class's
+// plan is resolved once and then applied to every object of the class.
 func (c *Conformed) conformObjects(side Side, st *store.Store, desc map[string]map[string]*DescRule) error {
 	origDB := c.Spec.DB(side).Schema
 	// Virtual object dedup per virtual class: canonical key → ref.
@@ -478,48 +545,50 @@ func (c *Conformed) conformObjects(side Side, st *store.Store, desc map[string]m
 		if c.Hidden[side][clsName] {
 			continue // value-view: the class's objects exist only as values
 		}
-		for _, o := range st.DirectExtent(clsName) {
+		ext := st.DirectExtent(clsName)
+		if len(ext) == 0 {
+			continue
+		}
+		plan := c.classPlan(side, clsName, desc)
+		if c.objs[side][clsName] == nil {
+			c.objs[side][clsName] = make([]*CObj, 0, len(ext))
+		}
+		for _, o := range ext {
 			co := &CObj{
 				Src:   object.Ref{DB: st.Name(), OID: o.OID()},
 				Side:  side,
 				Class: clsName,
-				Attrs: map[string]object.Value{},
+				Attrs: make(map[string]object.Value, len(plan)),
 			}
-			for _, a := range origDB.AllAttrs(clsName) {
-				v, ok := o.Get(a.Name)
+			for i := range plan {
+				step := &plan[i]
+				v, ok := o.Get(step.attr)
 				if !ok {
 					continue
 				}
-				owner := clsOwning(origDB, clsName, a.Name)
-				if byClass, ok := desc[owner]; ok {
-					if dr, ok := byClass[a.Name]; ok {
-						if dr.ValueView {
-							co.Attrs[a.Name] = v // value stays a value
-							continue
-						}
-						ref, err := c.virtualFor(side, clsName, dr, o, virt)
-						if err != nil {
-							return err
-						}
-						co.Attrs[a.Name] = ref
-						continue
-					}
-				}
-				// References to hidden classes inline as tuple values.
-				if ct, ok := a.Type.(object.ClassType); ok && c.Hidden[side][ct.Class] {
-					tup, err := c.hideRef(side, st, ct.Class, v)
+				switch {
+				case step.desc != nil && step.desc.ValueView:
+					co.Attrs[step.attr] = v // value stays a value
+				case step.desc != nil:
+					ref, err := c.virtualFor(side, step.desc, step.virt, o, virt)
 					if err != nil {
-						return fmt.Errorf("conforming %s.%s of %s: %w", clsName, a.Name, co.Src, err)
+						return err
 					}
-					co.Attrs[a.Name] = tup
-					continue
+					co.Attrs[step.attr] = ref
+				case step.hidden != "":
+					// References to hidden classes inline as tuple values.
+					tup, err := hideRef(st, step.hidden, step.fields, v)
+					if err != nil {
+						return fmt.Errorf("conforming %s.%s of %s: %w", clsName, step.attr, co.Src, err)
+					}
+					co.Attrs[step.attr] = tup
+				default:
+					cv, err := step.conv.Apply(v)
+					if err != nil {
+						return fmt.Errorf("conforming %s.%s of %s: %w", clsName, step.attr, co.Src, err)
+					}
+					co.Attrs[step.name] = cv
 				}
-				name, conv := c.conformedAttrName(side, clsName, a.Name)
-				cv, err := conv.Apply(v)
-				if err != nil {
-					return fmt.Errorf("conforming %s.%s of %s: %w", clsName, a.Name, co.Src, err)
-				}
-				co.Attrs[name] = cv
 			}
 			c.objs[side][clsName] = append(c.objs[side][clsName], co)
 			c.byRef[co.Src] = co
@@ -530,7 +599,7 @@ func (c *Conformed) conformObjects(side Side, st *store.Store, desc map[string]m
 
 // hideRef converts a reference to a hidden class into the complex value
 // describing the referenced object (conformed field names and values).
-func (c *Conformed) hideRef(side Side, st *store.Store, class string, v object.Value) (object.Value, error) {
+func hideRef(st *store.Store, class string, fields []attrConv, v object.Value) (object.Value, error) {
 	ref, ok := v.(object.Ref)
 	if !ok {
 		if v.Kind() == object.KindNull {
@@ -542,47 +611,47 @@ func (c *Conformed) hideRef(side Side, st *store.Store, class string, v object.V
 	if !ok {
 		return object.Null{}, nil
 	}
-	origDB := c.Spec.DB(side).Schema
-	fields := map[string]object.Value{}
-	for _, a := range origDB.AllAttrs(class) {
-		fv, ok := target.Get(a.Name)
+	vals := make(map[string]object.Value, len(fields))
+	for _, f := range fields {
+		fv, ok := target.Get(f.attr)
 		if !ok {
 			continue
 		}
-		name, conv := c.conformedAttrName(side, class, a.Name)
-		cv, err := conv.Apply(fv)
+		cv, err := f.conv.Apply(fv)
 		if err != nil {
 			return nil, err
 		}
-		fields[name] = cv
+		vals[f.name] = cv
 	}
-	return object.NewTuple(fields), nil
+	return object.NewTuple(vals), nil
 }
 
 // virtualFor returns (creating on first use) the virtual object for the
-// described value tuple of the given object.
-func (c *Conformed) virtualFor(side Side, class string, dr *DescRule, o *store.Obj, virt map[string]map[string]object.Ref) (object.Ref, error) {
+// described value tuple of the given object; conv is the rule's value
+// attributes as resolved on the object's class.
+func (c *Conformed) virtualFor(side Side, dr *DescRule, conv []attrConv, o *store.Obj, virt map[string]map[string]object.Ref) (object.Ref, error) {
 	vc := virtClassName(dr.ObjectClass)
 	if virt[vc] == nil {
 		virt[vc] = map[string]object.Ref{}
 	}
-	attrs := map[string]object.Value{}
-	var keyParts []string
-	for _, a := range dr.ValueAttrs {
-		v, ok := o.Get(a)
+	attrs := make(map[string]object.Value, len(conv))
+	key := make([]byte, 0, 17*len(conv))
+	for i, a := range conv {
+		v, ok := o.Get(a.attr)
 		if !ok {
 			v = object.Null{}
 		}
-		name, conv := c.conformedAttrName(side, class, a)
-		cv, err := conv.Apply(v)
+		cv, err := a.conv.Apply(v)
 		if err != nil {
 			return object.Ref{}, err
 		}
-		attrs[name] = cv
-		keyParts = append(keyParts, fmt.Sprintf("%016x", object.Hash(cv)))
+		attrs[a.name] = cv
+		if i > 0 {
+			key = append(key, '|')
+		}
+		key = appendHex16(key, object.Hash(cv))
 	}
-	key := strings.Join(keyParts, "|")
-	if ref, ok := virt[vc][key]; ok {
+	if ref, ok := virt[vc][string(key)]; ok {
 		return ref, nil
 	}
 	ref := object.Ref{DB: "virt:" + vc, OID: c.virtSeq}
@@ -590,8 +659,17 @@ func (c *Conformed) virtualFor(side Side, class string, dr *DescRule, o *store.O
 	vo := &CObj{Src: ref, Side: side, Class: vc, Attrs: attrs, Virtual: true}
 	c.objs[side][vc] = append(c.objs[side][vc], vo)
 	c.byRef[ref] = vo
-	virt[vc][key] = ref
+	virt[vc][string(key)] = ref
 	return ref, nil
+}
+
+// appendHex16 appends h as 16 zero-padded lower-case hex digits.
+func appendHex16(b []byte, h uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[(h>>uint(shift))&0xf])
+	}
+	return b
 }
 
 // conformConstraints re-expresses every constraint of a side in conformed

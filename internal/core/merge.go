@@ -289,12 +289,14 @@ func Merge(c *Conformed) (*GlobalView, error) {
 			Side  Side
 			Class string
 		}{},
-		byRef: map[object.Ref]*GObj{},
 	}
 	rng := rand.New(rand.NewSource(c.Spec.Seed))
+	plan := newMergePlan(v)
+	locals, remotes := c.AllObjects(LocalSide), c.AllObjects(RemoteSide)
+	n := len(locals) + len(remotes)
 
 	// --- Entity resolution ---------------------------------------------
-	parent := map[*CObj]*CObj{}
+	parent := make(map[*CObj]*CObj, n)
 	var find func(o *CObj) *CObj
 	find = func(o *CObj) *CObj {
 		p, ok := parent[o]
@@ -322,7 +324,7 @@ func Merge(c *Conformed) (*GlobalView, error) {
 	}
 
 	// --- Global object construction ------------------------------------
-	groups := map[*CObj][]*CObj{}
+	groups := make(map[*CObj][]*CObj, n)
 	var order []*CObj
 	collect := func(objs []*CObj) {
 		for _, o := range objs {
@@ -333,20 +335,21 @@ func Merge(c *Conformed) (*GlobalView, error) {
 			groups[root] = append(groups[root], o)
 		}
 	}
-	collect(c.AllObjects(LocalSide))
-	collect(c.AllObjects(RemoteSide))
+	collect(locals)
+	collect(remotes)
 
+	v.Objects = make([]*GObj, 0, len(order))
+	v.byRef = make(map[object.Ref]*GObj, len(order)+n)
 	for i, root := range order {
 		g := &GObj{
 			ID:      i + 1,
 			Parts:   map[Side][]*CObj{},
-			Attrs:   map[string]object.Value{},
 			Classes: map[string]bool{},
 		}
 		for _, m := range groups[root] {
 			g.Parts[m.Side] = append(g.Parts[m.Side], m)
 		}
-		v.fuse(g, rng)
+		v.fuse(g, rng, plan)
 		v.Objects = append(v.Objects, g)
 		v.byRef[g.Identity()] = g
 		for _, ms := range g.Parts {
@@ -357,8 +360,8 @@ func Merge(c *Conformed) (*GlobalView, error) {
 	}
 
 	// --- Classification --------------------------------------------------
-	v.classifyConstituents()
-	if err := v.classifySim(); err != nil {
+	v.classifyConstituents(plan)
+	if err := v.classifySim(plan); err != nil {
 		return nil, err
 	}
 	v.buildLattice()
@@ -377,15 +380,15 @@ func (v *GlobalView) resolveRule(r *EqRule, union func(a, b *CObj)) error {
 	}
 	conds := v.conformRuleConds(r)
 
-	pairEnv := func(lo, ro *CObj) *expr.Env {
-		return &expr.Env{
-			Vars:   map[string]expr.Object{r.LocalVar: lo, r.RemoteVar: ro},
-			Consts: c.Consts,
-			Deref:  func(x object.Ref) (expr.Object, bool) { return c.Deref(x) },
-		}
+	// One environment serves every candidate pair of the rule.
+	env := &expr.Env{
+		Vars:   map[string]expr.Object{},
+		Consts: c.Consts,
+		Deref:  func(x object.Ref) (expr.Object, bool) { return c.Deref(x) },
 	}
 	match := func(lo, ro *CObj) (bool, error) {
-		env := pairEnv(lo, ro)
+		env.Vars[r.LocalVar] = lo
+		env.Vars[r.RemoteVar] = ro
 		for _, cond := range conds {
 			ok, err := env.EvalBool(cond)
 			if err != nil {
@@ -514,13 +517,87 @@ func equiJoinAttrs(conds []expr.Node, lv, rv string) (string, string, bool) {
 	return "", "", false
 }
 
+// mergePlan holds the per-class facts Merge's object loops consult. Each
+// entry is a function of the conformed schemas and the spec alone, which
+// are immutable once conformation ends, so it is resolved on the first
+// object of its class and reused for every later one.
+type mergePlan struct {
+	v      *GlobalView
+	propEq map[propEqKey]*PropEq
+	chains map[chainKey][]classRef
+}
+
+// propEqKey identifies a propEqByConformed lookup: the conformed
+// attribute and what it depends on of the local constituent.
+type propEqKey struct {
+	name, class string
+	virtual     bool
+}
+
+type chainKey struct {
+	side  Side
+	class string
+}
+
+// classRef is one conformed class of a chain with its global name.
+type classRef struct{ class, global string }
+
+func newMergePlan(v *GlobalView) *mergePlan {
+	return &mergePlan{v: v, propEq: map[propEqKey]*PropEq{}, chains: map[chainKey][]classRef{}}
+}
+
+// propEqFor is propEqByConformed resolved once per (conformed attribute,
+// local class) for a non-nil local constituent.
+func (p *mergePlan) propEqFor(name string, localPart *CObj) *PropEq {
+	k := propEqKey{name, localPart.Class, localPart.Virtual}
+	pe, ok := p.propEq[k]
+	if !ok {
+		pe = p.v.propEqByConformed(name, localPart)
+		p.propEq[k] = pe
+	}
+	return pe
+}
+
+// chain returns the class's conformed inheritance chain on a side, each
+// class paired with its global name.
+func (p *mergePlan) chain(side Side, class string) []classRef {
+	k := chainKey{side, class}
+	ch, ok := p.chains[k]
+	if !ok {
+		for _, cn := range p.v.Conformed.SchemaOf(side).Supers(class) {
+			ch = append(ch, classRef{cn, p.v.GlobalName(side, cn)})
+		}
+		p.chains[k] = ch
+	}
+	return ch
+}
+
 // fuse computes the global attribute values of a group through the
 // decision functions (§2.3: "the value of global properties is determined
 // from the conformed local and remote ones, using a decision function
-// where applicable").
-func (v *GlobalView) fuse(g *GObj, rng *rand.Rand) {
+// where applicable"). Attributes are fused in sorted order, so the
+// seeded rng is drawn from in the same order on every run.
+func (v *GlobalView) fuse(g *GObj, rng *rand.Rand, plan *mergePlan) {
+	locals, remotes := g.Parts[LocalSide], g.Parts[RemoteSide]
+	if len(locals) == 0 || len(remotes) == 0 {
+		// A group drawn from one side never reaches a decision function:
+		// each attribute takes its first non-null value in part order.
+		parts := locals
+		if len(parts) == 0 {
+			parts = remotes
+		}
+		g.Attrs = make(map[string]object.Value, len(parts[0].Attrs))
+		for _, m := range parts {
+			for a, val := range m.Attrs {
+				if _, set := g.Attrs[a]; !set && val.Kind() != object.KindNull {
+					g.Attrs[a] = val
+				}
+			}
+		}
+		return
+	}
 	names := map[string]bool{}
-	for _, ms := range g.Parts {
+	for _, ms := range [][]*CObj{locals, remotes} {
 		for _, m := range ms {
 			for a := range m.Attrs {
 				names[a] = true
@@ -532,6 +609,7 @@ func (v *GlobalView) fuse(g *GObj, rng *rand.Rand) {
 		ordered = append(ordered, a)
 	}
 	sort.Strings(ordered)
+	g.Attrs = make(map[string]object.Value, len(ordered))
 
 	firstVal := func(side Side, attr string) (object.Value, *CObj) {
 		for _, m := range g.Parts[side] {
@@ -546,7 +624,7 @@ func (v *GlobalView) fuse(g *GObj, rng *rand.Rand) {
 		rv, _ := firstVal(RemoteSide, a)
 		switch {
 		case lv != nil && rv != nil:
-			if pe := v.propEqByConformed(a, lm); pe != nil {
+			if pe := plan.propEqFor(a, lm); pe != nil {
 				g.Attrs[a] = pe.DF.Combine(lv, rv, rng)
 			} else {
 				// No declared equivalence: same-named attributes without a
@@ -581,15 +659,14 @@ func (v *GlobalView) propEqByConformed(name string, localPart *CObj) *PropEq {
 
 // classifyConstituents adds each global object to the global classes of
 // its constituents' conformed class chains.
-func (v *GlobalView) classifyConstituents() {
+func (v *GlobalView) classifyConstituents(plan *mergePlan) {
 	for _, g := range v.Objects {
 		// Fixed side order keeps class registration (and therefore the
 		// derived lattice's edge order) deterministic.
 		for _, side := range []Side{LocalSide, RemoteSide} {
-			db := v.Conformed.SchemaOf(side)
 			for _, m := range g.Parts[side] {
-				for _, cn := range db.Supers(m.Class) {
-					v.addToClass(g, side, cn)
+				for _, cr := range plan.chain(side, m.Class) {
+					v.addToGlobalClass(g, side, cr.class, cr.global)
 				}
 			}
 		}
@@ -597,7 +674,11 @@ func (v *GlobalView) classifyConstituents() {
 }
 
 func (v *GlobalView) addToClass(g *GObj, side Side, class string) {
-	name := v.GlobalName(side, class)
+	v.addToGlobalClass(g, side, class, v.GlobalName(side, class))
+}
+
+// addToGlobalClass is addToClass with the class's global name resolved.
+func (v *GlobalView) addToGlobalClass(g *GObj, side Side, class, name string) {
 	if g.Classes[name] {
 		return
 	}
@@ -614,23 +695,26 @@ func (v *GlobalView) addToClass(g *GObj, side Side, class string) {
 
 // classifySim applies the similarity rules: source-side objects whose
 // intraobject condition holds join the target class (strict) or the
-// virtual common superclass (approximate).
-func (v *GlobalView) classifySim() error {
+// virtual common superclass (approximate). The target's class chain and
+// the evaluation environment are set up once per rule.
+func (v *GlobalView) classifySim(plan *mergePlan) error {
 	c := v.Conformed
 	for _, r := range c.Spec.SimRules {
 		targetSide := r.SrcSide.Other()
 		conds := v.conformSimConds(r)
+		target := plan.chain(targetSide, r.Target)
+		env := &expr.Env{
+			Vars:   map[string]expr.Object{},
+			Consts: c.Consts,
+			Deref:  func(x object.Ref) (expr.Object, bool) { return c.Deref(x) },
+		}
 		var approxMembers []int
 		for _, o := range c.Extent(r.SrcSide, r.SrcClass) {
 			g, ok := v.byRef[o.Src]
 			if !ok {
 				continue
 			}
-			env := &expr.Env{
-				Vars:   map[string]expr.Object{r.SrcVar: o},
-				Consts: c.Consts,
-				Deref:  func(x object.Ref) (expr.Object, bool) { return c.Deref(x) },
-			}
+			env.Vars[r.SrcVar] = o
 			match := true
 			for _, cond := range conds {
 				ok, err := env.EvalBool(cond)
@@ -649,8 +733,8 @@ func (v *GlobalView) classifySim() error {
 				approxMembers = append(approxMembers, g.ID)
 				v.addVirtualMember(g, r.Virtual)
 			} else {
-				for _, cn := range c.SchemaOf(targetSide).Supers(r.Target) {
-					v.addToClass(g, targetSide, cn)
+				for _, cr := range target {
+					v.addToGlobalClass(g, targetSide, cr.class, cr.global)
 				}
 			}
 		}
@@ -723,7 +807,7 @@ func (v *GlobalView) conformSimConds(r *SimRule) []expr.Node {
 // with partial overlap (the paper's RefereedProceedings).
 func (v *GlobalView) buildLattice() {
 	ext := func(name string) map[int]bool {
-		out := map[int]bool{}
+		out := make(map[int]bool, len(v.classExt[name]))
 		for _, g := range v.classExt[name] {
 			out[g.ID] = true
 		}

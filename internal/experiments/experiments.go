@@ -1783,7 +1783,7 @@ type B13Result struct {
 	ShipWALSync   time.Duration // WAL append + fsync per commit
 
 	// Boot phase, after the synced node "crashes" (no final checkpoint).
-	ColdBoot time.Duration // fresh integration + first queries, cold caches
+	ColdBoot time.Duration // fresh integration of the recovered stores + first queries, cold caches
 	WarmBoot time.Duration // full recovery + the same first queries
 
 	ReplayedCommits int // WAL tail commits the warm boot replayed
@@ -1833,16 +1833,23 @@ func b13Queries() []view.Query {
 // shipping bound and no WAL — the control engine.
 func b13Bare(scale int) (*view.Engine, string, int, error) {
 	lib, bs := fixture.Figure1Stores(fixture.Options{Scale: scale})
-	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), lib, bs, 1)
-	if err != nil {
-		return nil, "", 0, err
-	}
-	e, err := boundEngine(res, lib, bs)
+	res, e, err := b13Integrate(lib, bs)
 	if err != nil {
 		return nil, "", 0, err
 	}
 	id, err := b13VLDB(res)
 	return e, bs.Name(), id, err
+}
+
+// b13Integrate integrates the two members from scratch, without a memo,
+// and binds a serving engine over them.
+func b13Integrate(lib, bs *store.Store) (*core.Result, *view.Engine, error) {
+	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), lib, bs, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	e, err := boundEngine(res, lib, bs)
+	return res, e, err
 }
 
 func b13VLDB(res *core.Result) (int, error) {
@@ -1852,6 +1859,23 @@ func b13VLDB(res *core.Result) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("B13: vldb96 not in the integrated view")
+}
+
+// b13CloneMembers copies the recovered library and bookseller stores
+// into fresh stores over the same schemas.
+func b13CloneMembers(members []*store.Store) (lib, bs *store.Store, err error) {
+	var clones [2]*store.Store
+	for i, spec := range []*tm.DatabaseSpec{tm.Figure1Library(), tm.Figure1Bookseller()} {
+		clones[i] = store.New(spec.Schema, spec.Consts)
+		mc, err := store.SnapshotStore(members[i])
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := mc.RestoreInto(clones[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return clones[0], clones[1], nil
 }
 
 // b13Node is a durable two-member node assembled from the store-layer
@@ -1968,10 +1992,12 @@ func (n *b13Node) checkpoint(memo *logic.Memo) error {
 // phase runs the same cross-member workload bare, WAL-logged without
 // fsync, and WAL-logged with an fsync per commit — the write-side bill.
 // The boot phase then crashes the synced node (no final checkpoint) and
-// compares a cold start against the warm recovery: replay the tail,
-// answer the integration's solver queries from the imported memo,
-// verify the derivation, re-plan the persisted shapes, and serve —
-// first queries hitting the plan cache with zero solver work.
+// compares the warm recovery against a cold start over a copy of the
+// stores it recovered, so both arms integrate the same data. The warm
+// boot replays the tail, answers the integration's solver queries from
+// the imported memo, verifies the derivation, re-plans the persisted
+// shapes, and serves — first queries hitting the plan cache with zero
+// solver work.
 func B13(scale, batches int) (B13Result, error) {
 	r := B13Result{Scale: scale, Batches: batches}
 	ctx := context.Background()
@@ -2059,20 +2085,6 @@ func B13(scale, batches int) (B13Result, error) {
 		return r, err
 	}
 
-	// Cold boot control: integration from scratch, cold caches, first
-	// queries planned and solver-checked from nothing.
-	t0 = time.Now()
-	ce, _, _, err := b13Bare(scale)
-	if err != nil {
-		return r, err
-	}
-	for _, q := range queries {
-		if _, _, err := ce.Run(q); err != nil {
-			return r, err
-		}
-	}
-	r.ColdBoot = time.Since(t0)
-
 	// Warm boot: full recovery of the crashed node plus the same first
 	// queries.
 	t0 = time.Now()
@@ -2095,6 +2107,29 @@ func B13(scale, batches int) (B13Result, error) {
 	r.WarmSolverQueries = cs1.SolverQueries - cs0.SolverQueries
 	if err := nw.wal.Close(); err != nil {
 		return r, err
+	}
+
+	// Cold boot control: integration from scratch over a copy of the
+	// stores the warm boot recovered (so both arms integrate the same
+	// data, replayed workload included), cold caches, first queries
+	// planned and solver-checked from nothing. The copy is not timed.
+	lib, bs, err := b13CloneMembers(nw.members)
+	if err != nil {
+		return r, err
+	}
+	t0 = time.Now()
+	coldRes, ce, err := b13Integrate(lib, bs)
+	if err != nil {
+		return r, err
+	}
+	for _, q := range queries {
+		if _, _, err := ce.Run(q); err != nil {
+			return r, err
+		}
+	}
+	r.ColdBoot = time.Since(t0)
+	if coldRes.Report() != nw.res.Report() {
+		return r, fmt.Errorf("B13: cold and warm integrations of the recovered stores differ")
 	}
 
 	// The warm-start contract.

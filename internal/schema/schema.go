@@ -170,10 +170,25 @@ func (d *Database) Supers(name string) []string {
 // IsA reports whether sub is the same as, or a (transitive) subclass of,
 // super in the declared hierarchy.
 func (d *Database) IsA(sub, super string) bool {
-	for _, s := range d.Supers(sub) {
-		if s == super {
+	return d.walkSupers(sub, func(c *Class) bool { return c.Name == super })
+}
+
+// walkSupers visits the class and then each superclass in turn, nearest
+// first, until visit returns true, and reports whether it did. It walks
+// the Super links in place, so the per-object lattice tests of the
+// integration pipeline allocate nothing. The walk stops at an unknown
+// class and after as many steps as there are classes: that covers every
+// class Supers would list, also on a cyclic hierarchy Validate refuses.
+func (d *Database) walkSupers(name string, visit func(*Class) bool) bool {
+	for i, cur := 0, name; i < len(d.classes) && cur != ""; i++ {
+		c, ok := d.classes[cur]
+		if !ok {
+			return false
+		}
+		if visit(c) {
 			return true
 		}
+		cur = c.Super
 	}
 	return false
 }
@@ -211,12 +226,16 @@ func (d *Database) AllAttrs(name string) []Attribute {
 // ResolveAttr finds the attribute as visible on the class (own or
 // inherited) together with the class that declares it.
 func (d *Database) ResolveAttr(class, attr string) (Attribute, string, bool) {
-	for _, cn := range d.Supers(class) {
-		if a, ok := d.classes[cn].Attr(attr); ok {
-			return a, cn, true
+	var found Attribute
+	var owner string
+	ok := d.walkSupers(class, func(c *Class) bool {
+		a, ok := c.Attr(attr)
+		if ok {
+			found, owner = a, c.Name
 		}
-	}
-	return Attribute{}, "", false
+		return ok
+	})
+	return found, owner, ok
 }
 
 // AllObjectConstraints returns the object constraints applying to a class:

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,13 +301,54 @@ func TestPreparedReprepareAcrossAttachDetach(t *testing.T) {
 	}
 }
 
+// cancelFirstExec wraps the real wire backend so that its first Exec
+// reports that it arrived, blocks until the client's cancel reaches the
+// server, and only then runs the real Exec — whose plan build thus
+// starts under a cancelled context — reporting that Exec's error on
+// done.
+type cancelFirstExec struct {
+	wireBackend
+	first   atomic.Bool
+	entered chan struct{}
+	done    chan error
+}
+
+func (b *cancelFirstExec) Exec(ctx context.Context, tenant string, q view.Query) ([]view.Row, view.Stats, error) {
+	if !b.first.CompareAndSwap(false, true) {
+		return b.wireBackend.Exec(ctx, tenant, q)
+	}
+	close(b.entered)
+	select {
+	case <-ctx.Done():
+	case <-time.After(10 * time.Second):
+		b.done <- errors.New("the client's cancel never reached the server")
+		return nil, view.Stats{}, ctx.Err()
+	}
+	rows, stats, err := b.wireBackend.Exec(ctx, tenant, q)
+	b.done <- err
+	return rows, stats, err
+}
+
 // TestCancelledPreparedExecDoesNotPoisonPlanCache extends the
 // ctx_test.go pattern across the wire: a prepared execution cancelled
 // mid-flight must not leave a poisoned (partial) plan in the snapshot
 // plan cache — the next execution plans cleanly and later ones hit the
 // cache.
 func TestCancelledPreparedExecDoesNotPoisonPlanCache(t *testing.T) {
-	_, _, c := wireTestServer(t)
+	srv, _ := testServer(t)
+	hook := &cancelFirstExec{wireBackend: wireBackend{srv}, entered: make(chan struct{}), done: make(chan error, 1)}
+	ws := wire.NewServer(wire.ServerConfig{Backend: hook})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ws.Serve(ln)
+	t.Cleanup(func() { ws.Close() })
+	c, err := wire.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
 	ctx := context.Background()
 
 	// A fresh fingerprint this test owns, so the first exec must build
@@ -318,28 +360,28 @@ func TestCancelledPreparedExecDoesNotPoisonPlanCache(t *testing.T) {
 	}
 
 	cancelled, cancel := context.WithCancel(ctx)
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := p.Exec(cancelled)
+		errc <- err
+	}()
+	<-hook.entered
 	cancel()
-	if _, _, err := p.Exec(cancelled); !errors.Is(err, context.Canceled) {
-		t.Fatalf("exec with cancelled ctx: %v, want context.Canceled", err)
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("exec cancelled in flight: %v, want context.Canceled", err)
+	}
+	// The server-side build ran under the cancelled context and failed.
+	if err := <-hook.done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("server-side exec after cancel: %v, want context.Canceled", err)
 	}
 
 	// The cancelled build must not have cached anything poisoned: the
-	// next exec succeeds and its successor reports a plan-cache hit.
-	if _, _, err := p.Exec(ctx); err != nil {
-		t.Fatalf("exec after cancelled exec: %v", err)
+	// next exec plans afresh and its successor reports a plan-cache hit.
+	if _, stats, err := p.Exec(ctx); err != nil || stats.PlanCached {
+		t.Fatalf("exec after cancelled exec: err=%v cached=%v, want a fresh plan", err, stats.PlanCached)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, stats, err := p.Exec(ctx)
-		if err != nil {
-			t.Fatalf("follow-up exec: %v", err)
-		}
-		if stats.PlanCached {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("plan never cached after cancelled execution")
-		}
+	if _, stats, err := p.Exec(ctx); err != nil || !stats.PlanCached {
+		t.Fatalf("follow-up exec: err=%v cached=%v, want a plan-cache hit", err, stats.PlanCached)
 	}
 }
 

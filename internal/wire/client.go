@@ -131,9 +131,14 @@ func (c *Client) writeFrame(op byte, id uint64, build func([]byte) []byte) error
 }
 
 // roundTrip sends one request and waits for its response or ctx
-// cancellation. On cancellation it fires an OpCancel at the server and
-// abandons the ID — a late response is discarded by the read loop.
+// cancellation. A context already done sends nothing: once the request
+// is out, a fast reply and the cancellation race in the select below.
+// On cancellation it fires an OpCancel at the server and abandons the
+// ID — a late response is discarded by the read loop.
 func (c *Client) roundTrip(ctx context.Context, op byte, build func([]byte) []byte) (response, error) {
+	if err := ctx.Err(); err != nil {
+		return response{}, err
+	}
 	id := c.nextID.Add(1)
 	ch := make(chan response, 1)
 	c.mu.Lock()

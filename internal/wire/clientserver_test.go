@@ -207,6 +207,41 @@ func TestCancelPropagation(t *testing.T) {
 	}
 }
 
+// TestDoneContextSendsNothing pins the client's early return: a request
+// whose context is already done fails with the context's error and never
+// reaches the backend, however fast the backend would have answered.
+func TestDoneContextSendsNothing(t *testing.T) {
+	var queries atomic.Int64
+	fb := &fakeBackend{}
+	fb.queryHook = func(ctx context.Context, tenant, src string) ([]view.Row, view.Stats, error) {
+		queries.Add(1)
+		return fb.rows(src), view.Stats{}, nil
+	}
+	c := startWire(t, fb, ServerConfig{})
+	p, err := c.Prepare(context.Background(), "main", "C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 100; i++ {
+		if _, _, err := c.Query(done, "main", "fast"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("query with done ctx: %v, want context.Canceled", err)
+		}
+		if _, _, err := p.Exec(done); !errors.Is(err, context.Canceled) {
+			t.Fatalf("exec with done ctx: %v, want context.Canceled", err)
+		}
+	}
+	// A live request on the same connection is the barrier: anything
+	// sent before it would have been dispatched first.
+	if _, _, err := c.Query(context.Background(), "main", "after"); err != nil {
+		t.Fatal(err)
+	}
+	if n, e := queries.Load(), fb.execs.Load(); n != 1 || e != 0 {
+		t.Errorf("backend saw %d queries and %d execs, want only the live query", n, e)
+	}
+}
+
 // TestPreparedReprepareOnMembershipChange pins the invalidation
 // contract: moving the backend's member version makes the next Exec
 // re-prepare transparently from the saved source.
